@@ -11,9 +11,9 @@ import argparse
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 import tensorpotts as tp
+from tensorpotts.errors import DegenerateIntervalError
 from tensorpotts.exact import HProfile
 
 
@@ -40,7 +40,6 @@ def main():
     law = tp.magnetization_law(spec, args.N)
     profile = HProfile(spec, args.N)
     draws = tp.exact_sample(law, args.replicates, args.seed)
-    z = ndtri(1.0 - args.alpha / 2.0)
 
     hhats = np.empty(args.replicates)
     covered = 0
@@ -48,13 +47,12 @@ def main():
     for i, x in enumerate(draws):
         est = tp.mle_h(spec, float(x[0]), args.N, profile=profile)
         hhats[i] = est.estimate
-        s_plug = 1.0 - q * float(x[-1])
-        f2 = tp.f_deriv(spec.with_params(h=0.0), s_plug, 2)
-        if f2 >= 0:
+        try:
+            cs = tp.ci_h(spec, x, args.N, args.alpha, estimate=est)
+        except DegenerateIntervalError:
             degenerate += 1
             continue
-        half = (q / (q - 1.0)) * math.sqrt(-f2 / args.N) * z
-        covered += (hhats[i] - half <= args.h <= hhats[i] + half)
+        covered += cs.contains(args.h)
 
     sd_emp = float(np.std(hhats)) * math.sqrt(args.N)
     print(f"replicates        : {args.replicates} (degenerate intervals: {degenerate})")

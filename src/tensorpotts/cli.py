@@ -170,7 +170,8 @@ def _estimate_payload(args, method: str) -> dict:
     if args.param == "h":
         est = inference.mle_h(spec, float(data[0]), args.N)
         if method == "two_step":
-            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="h")
+            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="h",
+                                       estimate=est)
         else:
             cs = inference.ci_h(spec, data, args.N, args.alpha, estimate=est)
             if method == "augmented":
@@ -179,7 +180,8 @@ def _estimate_payload(args, method: str) -> dict:
     else:
         est = inference.mle_beta(spec, float(np.sum(data ** spec.p)), args.N)
         if method == "two_step":
-            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="beta")
+            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="beta",
+                                       estimate=est)
         else:
             cs = inference.ci_beta(spec, data, args.N, args.alpha, estimate=est)
             if method == "augmented":
@@ -189,7 +191,7 @@ def _estimate_payload(args, method: str) -> dict:
     payload["ci"] = cs.to_json_dict()
     payload["param"] = args.param
     if not est.converged:
-        raise NonConvergenceError("estimator bisection did not converge")
+        raise NonConvergenceError("maximum-likelihood root-finding did not converge")
     return payload
 
 

@@ -10,8 +10,9 @@ Enumeration is over compositions (C(N+q-1, q-1) states), never over the q^N
 configurations; log-factorials use log-gamma, and all reductions stream over
 composition blocks with a running-max log-sum-exp, so N*H beyond the float
 exponent range is safe.  ``HProfile`` and ``BProfile`` cache the parts of the
-weight that do not depend on h (resp. beta), collapsing the maximum-likelihood
-root-finding to cheap one-dimensional reweightings.
+weight that do not depend on h (resp. beta), so each maximum-likelihood
+Newton step is one cheap reweighting that yields the expectation and its
+derivative together.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _StreamingReducer:
         e = np.exp(lw - self.max)
         self.z += float(e.sum())
         if stats is not None:
-            self.sums += stats @ e
+            self.sums += np.einsum("ij,j->i", stats, e)
 
     @property
     def log_sum(self) -> float:
@@ -218,10 +219,10 @@ class ExactLaw:
         return np.arange(self.N + 1) / self.N, pmf
 
     def mean(self) -> np.ndarray:
-        return self.probs() @ self.magnetizations()
+        return np.einsum("i,ij->j", self.probs(), self.magnetizations())
 
     def expect(self, g) -> float:
-        return float(self.probs() @ g(self.magnetizations()))
+        return float(np.einsum("i,i", self.probs(), g(self.magnetizations())))
 
     def save(self, path) -> None:
         """Binary dump: little-endian header (N, q, count as int64) followed by
@@ -263,7 +264,7 @@ def magnetization_law(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -
 
 
 class HProfile:
-    """u_{N,1} as a function of h at fixed (p, q, beta, N).
+    """u_{N,1} and its h-derivative at fixed (p, q, beta, N).
 
     The field enters the weight only through h * c_1, so the h-free part can
     be collapsed onto the N+1 values of c_1 once; every subsequent evaluation
@@ -280,15 +281,18 @@ class HProfile:
             np.logaddexp.at(L, block[:, 0], lw)
         self._L = L
         self._j = np.arange(N + 1)
+        self._x1 = self._j / N
+
+    def moments(self, h: float) -> tuple:
+        """(u_{N,1}(h), du_{N,1}/dh = N Var(xbar_1)) from one reweighting."""
+        return _tilted_moments(self._L, self._j * h, self._x1, self.N)
 
     def u1(self, h: float) -> float:
-        w = self._L + h * self._j
-        e = np.exp(w - w.max())
-        return float((e @ (self._j / self.N)) / e.sum())
+        return self.moments(h)[0]
 
 
 class BProfile:
-    """u_{N,p} as a function of beta at fixed (p, q, h, N).
+    """u_{N,p} and its beta-derivative at fixed (p, q, h, N).
 
     Caches the beta-free log-weight and the p-norm statistic per composition;
     each evaluation is a vectorized reweighting over the full support.
@@ -308,7 +312,29 @@ class BProfile:
             self._pnorm[pos:pos + m] = np.sum((block / N) ** spec.p, axis=1)
             pos += m
 
+    def moments(self, beta: float) -> tuple:
+        """(u_{N,p}(beta), du_{N,p}/dbeta = N Var(sum xbar_r^p)) from one reweighting."""
+        return _tilted_moments(self._rest, self._pnorm * (self.N * beta), self._pnorm, self.N)
+
     def up(self, beta: float) -> float:
-        w = self._rest + self.N * beta * self._pnorm
-        e = np.exp(w - w.max())
-        return float((e @ self._pnorm) / e.sum())
+        return self.moments(beta)[0]
+
+
+def _tilted_moments(base: np.ndarray, tilt: np.ndarray, stat: np.ndarray, N: int) -> tuple:
+    """Mean of stat under weights exp(base + tilt), and N times its variance.
+
+    ``tilt`` is a scratch array: it is overwritten by the weights.  The
+    reductions are elementwise (einsum), never BLAS dot products, so no BLAS
+    thread pool is woken for these 1-D sums.  The largest weight is 1, so
+    weights below exp(-700) cannot move any sum; flooring the exponent there
+    keeps exp and the products out of the slow subnormal range.
+    """
+    w = tilt
+    w += base
+    w -= w.max()
+    np.maximum(w, -700.0, out=w)
+    np.exp(w, out=w)
+    z = w.sum()
+    mean = np.einsum("i,i", w, stat) / z
+    second = np.einsum("i,i,i", w, stat, stat) / z
+    return float(mean), float(N * (second - mean * mean))

@@ -4,9 +4,12 @@ The ML estimate of h at known beta solves u_{N,1}(beta, h) = observed
 first-coordinate magnetization; the estimate of beta at known h solves
 u_{N,p}(beta, h) = observed p-norm statistic.  Both maps are strictly
 increasing in the estimated parameter (the log-partition function is strictly
-convex), so bracketed bisection is unconditionally convergent and needs no
-derivatives.  Expectations inside the root-finding are exact finite-N values
-from the enumeration engine, never Monte Carlo.
+convex), and their derivatives are exact too: N Var(xbar_1) and
+N Var(sum_r xbar_r^p).  The root is bracketed by doubling and then found by
+safeguarded Newton steps that fall back to bisection whenever a step would
+leave the bracket, so the solve converges unconditionally and quadratically
+near the root.  Expectations and derivatives inside the root-finding are
+exact finite-N values from the enumeration engine, never Monte Carlo.
 
 Confidence sets: the plain plug-in intervals around the estimates are
 asymptotically valid at regular points.  They are made universally valid
@@ -37,6 +40,8 @@ from .phase import (
 
 BRACKET_CAP = 64.0
 ROOT_RESIDUAL_TOL = 1e-10
+ROOT_STOP_TOL = 1e-13
+MAX_ROOT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -87,31 +92,58 @@ class ConfidenceSet:
         }
 
 
-def _bisect_increasing(fn, observed: float, cap: float = BRACKET_CAP):
-    """Root of the increasing fn(x) = observed on [0, cap] by doubling + bisection.
+def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP):
+    """Root of the increasing u(x) = observed on [0, cap] by safeguarded Newton.
 
-    Returns (root, iterations, bracket, converged, boundary).
+    ``value(x)`` returns u(x) and brackets the root by doubling from [0, 1];
+    ``moments(x)`` returns (u(x), u'(x)) for the Newton steps, which start at
+    the bracket midpoint.  Every evaluation shrinks the bracket, and a step is
+    replaced by bisection when it would leave the bracket, when u' <= 0, or
+    when it fails to halve the previous step (rtsafe).  The solve stops once
+    both |u - observed| and the Newton correction |u - observed| / u' are at
+    most ROOT_STOP_TOL, or the bracket is narrower than that, so a flat u
+    still gets an accurate root.
+
+    Both statistics have supremum 1, where the MLE is +inf: an observation
+    of 1 is solved to exact equality, which returns a finite point where u
+    has saturated to 1 in double precision, flagged as a boundary estimate.
+
+    Returns (root, iterations, bracket, converged, boundary, residual); the
+    residual |u(root) - observed| comes from the evaluation at the root.
     """
-    lo, hi = 0.0, 1.0
-    iters = 0
-    f_lo = fn(lo)
-    if f_lo >= observed:
-        return 0.0, 0, (0.0, 0.0), True, True
-    while fn(hi) < observed:
-        lo = hi
+    u_lo = value(0.0)
+    if u_lo >= observed:
+        return 0.0, 0, (0.0, 0.0), True, True, u_lo - observed
+    at_sup = observed >= 1.0
+    lo, hi, iters = 0.0, 1.0, 0
+    while (u_hi := value(hi)) < observed:
+        lo, u_lo = hi, u_hi
         hi *= 2.0
         iters += 1
         if hi > cap:
-            return hi, iters, (lo, hi), False, False
+            return hi, iters, (lo, hi), False, at_sup, math.nan
     bracket = (lo, hi)
-    while hi - lo > 1e-13 and iters < 200:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < observed:
-            lo = mid
-        else:
-            hi = mid
+    tol = 0.0 if at_sup else ROOT_STOP_TOL
+    x = 0.5 * (lo + hi)
+    step = hi - lo
+    while iters < MAX_ROOT_ITERATIONS:
+        u, du = moments(x)
         iters += 1
-    return 0.5 * (lo + hi), iters, bracket, True, False
+        if u < observed:
+            lo, u_lo = x, u
+        else:
+            hi, u_hi = x, u
+        if abs(u - observed) <= tol * min(1.0, du):
+            return x, iters, bracket, True, at_sup, abs(u - observed)
+        if hi - lo <= ROOT_STOP_TOL:
+            break
+        prev = step
+        step = (u - observed) / du if du > 0 else math.inf
+        if not lo < x - step < hi or 2.0 * abs(step) > abs(prev):
+            step = x - 0.5 * (lo + hi)
+        x -= step
+    root, u = min(((lo, u_lo), (hi, u_hi)), key=lambda pt: abs(pt[1] - observed))
+    return root, iters, bracket, hi - lo <= ROOT_STOP_TOL, at_sup, abs(u - observed)
 
 
 def mle_h(spec: ModelSpec, observed_x1: float, N: int,
@@ -122,19 +154,15 @@ def mle_h(spec: ModelSpec, observed_x1: float, N: int,
     Below u_{N,1}(beta, 0) the nonnegativity constraint is active and the
     boundary estimate 0 is flagged rather than raised; an observed value of
     exactly 0 (empty first color, positive probability at finite N) lands on
-    that same boundary path.
+    that same boundary path.  An observed value of exactly 1 has its MLE at
+    +inf and is flagged as a boundary estimate too.
     """
     if not (0.0 <= observed_x1 <= 1.0):
         raise DomainError(f"observed_x1 must be in [0, 1], got {observed_x1}")
     if profile is None:
         profile = HProfile(spec, N, cap)
-    root, iters, bracket, converged, boundary = _bisect_increasing(profile.u1, observed_x1)
-    residual = abs(profile.u1(root) - observed_x1) if converged else math.nan
-    if converged and not boundary and residual > ROOT_RESIDUAL_TOL:
-        converged = False
-    return EstimationResult(estimate=root, observed_statistic=observed_x1,
-                            iterations=iters, bracket=bracket, converged=converged,
-                            boundary=boundary, residual=residual)
+    return _estimation_result(
+        observed_x1, *_solve_increasing(profile.u1, profile.moments, observed_x1))
 
 
 def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
@@ -143,7 +171,8 @@ def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
     """ML estimate of beta at known h, from the observed p-norm statistic.
 
     The uniform-magnetization value q^(1-p) (attainable when q divides N)
-    sits below u_{N,p}(0, h) and yields the boundary estimate 0.
+    sits below u_{N,p}(0, h) and yields the boundary estimate 0; the value 1
+    (all sites one color) has its MLE at +inf and is flagged as well.
     """
     q, p = spec.q, spec.p
     if not (q ** (1 - p) <= observed_pnorm <= 1.0):
@@ -151,11 +180,15 @@ def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
             f"observed p-norm must lie in [q^(1-p), 1] = [{q ** (1 - p)}, 1], got {observed_pnorm}")
     if profile is None:
         profile = BProfile(spec, N, cap)
-    root, iters, bracket, converged, boundary = _bisect_increasing(profile.up, observed_pnorm)
-    residual = abs(profile.up(root) - observed_pnorm) if converged else math.nan
+    return _estimation_result(
+        observed_pnorm, *_solve_increasing(profile.up, profile.moments, observed_pnorm))
+
+
+def _estimation_result(observed, root, iters, bracket, converged, boundary,
+                       residual) -> EstimationResult:
     if converged and not boundary and residual > ROOT_RESIDUAL_TOL:
         converged = False
-    return EstimationResult(estimate=root, observed_statistic=observed_pnorm,
+    return EstimationResult(estimate=root, observed_statistic=observed,
                             iterations=iters, bracket=bracket, converged=converged,
                             boundary=boundary, residual=residual)
 
@@ -298,25 +331,31 @@ _RATE_EXPONENTS = {
 def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
                 param: str = "h",
                 beta_c: float | None = None,
-                special: SpecialPoint | None = None) -> ConfidenceSet:
+                special: SpecialPoint | None = None,
+                estimate: EstimationResult | None = None) -> ConfidenceSet:
     """Two-step confidence set: test the critical-closure point first.
 
     Tests H0: parameter equals the slice point, at level alpha, using the
     critical/special limiting law of the estimator at that point; on
     acceptance the singleton is returned, on rejection the plain interval.
+    ``estimate`` is the ML estimate of ``param`` from the same data, when
+    the caller already has it.
     """
     from .laws import bhat_limit, hhat_limit
 
     data_x = as_prob_vector(data_x, spec.q)
+    est = estimate
     if param == "h":
-        est = mle_h(spec, float(data_x[0]), N)
+        if est is None:
+            est = mle_h(spec, float(data_x[0]), N)
         slice_pts = critical_slice_h(spec.p, spec.q, spec.beta, beta_c, special)
 
         def plain():
             return ci_h(spec, data_x, N, alpha, estimate=est)
 
     elif param == "beta":
-        est = mle_beta(spec, float(np.sum(data_x ** spec.p)), N)
+        if est is None:
+            est = mle_beta(spec, float(np.sum(data_x ** spec.p)), N)
         slice_pts = critical_slice_beta(spec.p, spec.q, spec.h, beta_c, special)
 
         def plain():

@@ -20,7 +20,7 @@ from tensorpotts import (
 from tensorpotts.exact import BProfile, HProfile, composition_blocks, n_compositions
 from tensorpotts.errors import DomainError, SupportSizeError
 
-from conftest import brute_force_log_partition, rng
+from conftest import brute_force_log_partition, central_difference, rng
 
 
 from hypothesis import given, settings
@@ -209,3 +209,15 @@ class TestProfiles:
         for b in (0.1, 0.6, 1.2):
             assert prof.up(b) == pytest.approx(
                 expect_up(spec.with_params(beta=b), N), abs=1e-12)
+
+    @pytest.mark.parametrize("p,q,beta,h", [(4, 3, 0.616, 0.67), (2, 2, 1.2, 0.1), (5, 4, 0.3, 0.5)])
+    def test_moment_derivatives_match_finite_differences(self, p, q, beta, h):
+        spec = ModelSpec(p, q, beta, h)
+        N = 60
+        hprof, bprof = HProfile(spec, N), BProfile(spec, N)
+        assert hprof.moments(h)[0] == hprof.u1(h)
+        assert bprof.moments(beta)[0] == bprof.up(beta)
+        assert hprof.moments(h)[1] == pytest.approx(
+            central_difference(hprof.u1, h, 1e-4), rel=1e-6)
+        assert bprof.moments(beta)[1] == pytest.approx(
+            central_difference(bprof.up, beta, 1e-4), rel=1e-6)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from tensorpotts import (
@@ -26,7 +28,7 @@ from tensorpotts import (
     two_step_ci,
 )
 from tensorpotts.errors import DegenerateIntervalError, DomainError, PreconditionError
-from tensorpotts.exact import HProfile
+from tensorpotts.exact import BProfile, HProfile
 from tensorpotts.inference import result_to_json
 
 from conftest import rng
@@ -95,6 +97,71 @@ class TestRootRecovery:
         assert est.boundary and est.estimate == 0.0
         est_b = mle_beta(ModelSpec(4, 3, 0.0, 0.2), 3 ** (1 - 4), 60)
         assert est_b.boundary and est_b.estimate == 0.0
+
+
+def _reference_root(u, observed: float) -> float:
+    """Doubling + plain bisection to a 1e-13 bracket, as an independent oracle."""
+    lo, hi = 0.0, 1.0
+    while u(hi) < observed:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if u(mid) < observed:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _CountingBProfile(BProfile):
+    """BProfile that counts its reweightings (every evaluation is one moments call)."""
+
+    calls = 0
+
+    def moments(self, beta):
+        self.calls += 1
+        return super().moments(beta)
+
+
+class TestNewtonSolver:
+    @given(p=st.integers(2, 5), q=st.integers(2, 4), fixed=st.floats(0.0, 1.5),
+           target=st.floats(0.05, 2.0), N=st.integers(2, 80),
+           param=st.sampled_from(["h", "beta"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_bisection(self, p, q, fixed, target, N, param):
+        if param == "h":
+            spec = ModelSpec(p, q, fixed, 0.0)
+            profile = HProfile(spec, N)
+            u = profile.u1
+            est = mle_h(spec, u(target), N, profile=profile)
+        else:
+            spec = ModelSpec(p, q, 0.0, fixed)
+            profile = BProfile(spec, N)
+            u = profile.up
+            est = mle_beta(spec, u(target), N, profile=profile)
+        assert est.converged and not est.boundary
+        assert est.residual <= 1e-12
+        assert est.residual == abs(u(est.estimate) - est.observed_statistic)
+        assert est.estimate == pytest.approx(_reference_root(u, est.observed_statistic),
+                                             abs=1e-11)
+
+    def test_few_reweightings_at_coverage_point(self, fig_regular_spec):
+        N = 1000
+        profile = _CountingBProfile(fig_regular_spec, N)
+        data = exact_sample(magnetization_law(fig_regular_spec, N), 20, seed=71)
+        for x in data:
+            profile.calls = 0
+            est = mle_beta(fig_regular_spec, float(np.sum(x ** 4)), N, profile=profile)
+            assert est.converged
+            assert profile.calls <= 12
+
+    def test_upper_boundary_flagged(self):
+        spec = ModelSpec(4, 3, 0.5, 0.1)
+        est_h = mle_h(spec, 1.0, 40)
+        est_b = mle_beta(spec, 1.0, 40)
+        for est in (est_h, est_b):
+            assert est.boundary and est.converged
+            assert math.isfinite(est.estimate) and est.residual == 0.0
 
 
 class TestPlainIntervals:
