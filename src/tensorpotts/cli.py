@@ -120,9 +120,6 @@ def cmd_exact(args) -> None:
            "support_size": int(len(law.log_probs)), "out": args.out})
 
 
-_SCALINGS = {"auto": None, "sqrt": 0.5, "quartic": 0.25, "sextic": 1.0 / 6.0}
-
-
 def cmd_simulate(args) -> None:
     spec = _spec(args)
     pc = phase.classify_point(spec, tol_class=args.tol_class)
@@ -292,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--scaling", choices=sorted(_SCALINGS), default="auto",
-                    help="informational; the exponent follows the point class")
     sp.add_argument("--project", type=float, nargs="+", default=None,
                     help="projection direction for the density overlay")
     sp.add_argument("--tol-class", dest="tol_class", type=float, default=phase.CLASS_TOL)

@@ -238,11 +238,17 @@ class ExactLaw:
     @classmethod
     def load(cls, path, spec: ModelSpec) -> "ExactLaw":
         with open(path, "rb") as fh:
-            N, q, count = struct.unpack("<qqq", fh.read(24))
+            header = fh.read(24)
+            if len(header) != 24:
+                raise DomainError(f"dump header has {len(header)} of 24 bytes")
+            N, q, count = struct.unpack("<qqq", header)
             if q != spec.q:
                 raise DomainError(f"dump has q={q}, spec has q={spec.q}")
             rec = np.dtype([("counts", "<i4", (q,)), ("log_prob", "<f8")])
-            arr = np.frombuffer(fh.read(count * rec.itemsize), dtype=rec)
+            body = fh.read()
+        if len(body) != count * rec.itemsize:
+            raise DomainError(f"dump body has {len(body)} bytes, not {count} x {rec.itemsize}")
+        arr = np.frombuffer(body, dtype=rec)
         return cls(spec=spec, N=N, support=arr["counts"].astype(np.int64),
                    log_probs=arr["log_prob"].copy())
 

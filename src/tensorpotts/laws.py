@@ -9,7 +9,8 @@ Scalar laws come in a few families:
 * mixtures with point masses, including masses at +/- infinity (kept as
   explicit mass fields, never numeric sentinels);
 * composed estimator laws whose cdf at t evaluates the mean of a t-tilted
-  member of the family and feeds it through the zero-tilt cdf;
+  member of the family and feeds it through the zero-tilt cdf (the means of
+  all tilts come from one blocked Simpson quadrature, ``_tilted_means``);
 * Monte-Carlo laws for quadratic forms of rank-deficient Gaussians.
 
 Vector laws are Gaussians supported on the zero-sum hyperplane (rank q-1), or
@@ -36,6 +37,7 @@ from .phase import PointClass, PointTag, classify_point
 
 GRID_POINTS = 4097
 TAIL_LOG_EPS = math.log(1e-14)
+SEXTIC_COEF = -32.0 / 15.0  # x^6 coefficient of the type-II limit density
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +316,11 @@ class MixtureLaw(ScalarLaw):
 class ComposedLaw(ScalarLaw):
     """Estimator cdf of the form t -> F0(+/- mu(t)).
 
-    ``outer`` is the zero-tilt cdf of the family; ``tilted_mean(t)`` is the
-    mean of the t-tilted member, strictly decreasing in t.  The
-    sign-consistent form applies the outer cdf to the negated mean; the
-    as-printed form (no negation) is kept as an option.  mu is tabulated once
-    on a range wide enough that the outer cdf saturates beyond it.
+    ``outer`` is the zero-tilt cdf of the family; ``tilted_mean`` maps an array
+    of tilts t to the means of the t-tilted members, strictly decreasing in t.
+    The sign-consistent form applies the outer cdf to the negated mean; the
+    as-printed form (no negation) is kept as an option.  mu is tabulated by one
+    vectorised call on a range wide enough that the outer cdf saturates beyond it.
     """
 
     kind = "Composed"
@@ -330,14 +332,14 @@ class ComposedLaw(ScalarLaw):
         self.negate_mean = negate_mean
         radius = float(outer.x[-1])
         t_max = 1.0
-        while abs(tilted_mean(t_max)) < radius and t_max < 1e9:
+        while abs(tilted_mean(np.array([t_max]))[0]) < radius and t_max < 1e9:
             t_max *= 2.0
         # sinh spacing: dense where the cdf moves fastest (small t), still
         # reaching the saturation range
         u = np.linspace(-1.0, 1.0, grid_points)
         stretch = 6.0
         self._t_grid = t_max * np.sinh(stretch * u) / math.sinh(stretch)
-        self._mu_grid = np.array([tilted_mean(float(t)) for t in self._t_grid])
+        self._mu_grid = tilted_mean(self._t_grid)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -469,12 +471,6 @@ class MonteCarloLaw(ScalarLaw):
         rng = np.random.Generator(np.random.Philox(seed))
         return rng.choice(self.draws, size=n, replace=True)
 
-    def threshold_prob(self, c: float):
-        """(P(X <= c), Monte-Carlo standard error of that probability)."""
-        p = float(np.mean(self.draws <= c))
-        se = math.sqrt(max(p * (1 - p), 1e-12) / len(self.draws))
-        return p, se
-
     def params(self):
         return {"n_draws": len(self.draws), "seed": self.seed}
 
@@ -546,34 +542,65 @@ class MixtureGaussianSimplex:
                            "components": [c.to_json_dict() for c in self.components]}}
 
 
-@dataclass(frozen=True)
-class ProductTV:
-    """Independent product of the scalar T limit and the Gaussian V limit."""
-
-    t_law: ScalarLaw
-    v_law: GaussianSimplex
-    kind: str = "ProductTV"
-
-    def sample(self, n: int, seed: int):
-        return self.t_law.sample(n, seed), self.v_law.sample(n, seed + 1)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def _tilt_radius(coef_high: float, degree: int, coef1: float) -> float:
-    """Truncation radius where the exponent falls TAIL_LOG_EPS below the mode."""
+def _tilt_radius(coef_high: float, degree: int, coef1):
+    """Truncation radius where the exponent falls TAIL_LOG_EPS below the mode
+    (elementwise when ``coef1`` is an array)."""
     r = (-TAIL_LOG_EPS / -coef_high) ** (1.0 / degree)
     for _ in range(12):
         r = ((-TAIL_LOG_EPS + abs(coef1) * r) / -coef_high) ** (1.0 / degree)
     return r
 
 
+_TILT_BLOCK = 64  # rows per block: each (64, GRID_POINTS) temporary is ~2 MB
+
+
+def _tilted_means(coef_high: float, degree: int, coef1: np.ndarray) -> np.ndarray:
+    """Means of exp(coef_high x^degree + c x) for every c in the 1-D ``coef1``.
+
+    Same numerics as ``GridLaw(...).mean()``: GRID_POINTS points on [-R_c, R_c]
+    (R_c from ``_tilt_radius``) and Simpson weights, whose step cancels in the
+    ratio.  Each grid is R_c times one shared linspace(-1, 1).
+    """
+    coef1 = np.asarray(coef1, dtype=float)
+    radius = _tilt_radius(coef_high, degree, coef1)
+    u = np.linspace(-1.0, 1.0, GRID_POINTS)
+    u_high = u ** degree
+    weights = np.ones(GRID_POINTS)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weighted_u = weights * u
+    out = np.empty(len(coef1))
+    for lo in range(0, len(coef1), _TILT_BLOCK):
+        c, r = coef1[lo:lo + _TILT_BLOCK], radius[lo:lo + _TILT_BLOCK]
+        ld = np.multiply.outer(coef_high * r ** degree, u_high)
+        ld += np.multiply.outer(c * r, u)
+        ld -= ld.max(axis=1, keepdims=True)
+        np.exp(ld, out=ld)
+        out[lo:lo + _TILT_BLOCK] = (r * np.einsum("ij,j->i", ld, weighted_u)
+                                    / np.einsum("ij,j->i", ld, weights))
+    return out
+
+
 def _maximizer_info(spec: ModelSpec, point_class: PointClass):
     s = point_class.witness.s_values[0]
     m = x_of_s(spec.q, s)
     return s, m
+
+
+def _quartic_coefs(spec: ModelSpec, point_class: PointClass):
+    """(coef4, <m^{p-1}, u>) of the type-I quartic family at the maximizer m."""
+    if point_class.tag is not PointTag.SPECIAL_TYPE_I:
+        raise ClassificationError(f"quartic law requires a type-I special point, got {point_class.tag}")
+    s, m = _maximizer_info(spec, point_class)
+    f4 = f_deriv(spec, s, 4)
+    if f4 >= 0:
+        raise ClassificationError(f"f'''' must be negative, got {f4}")
+    q = spec.q
+    return q ** 4 * f4 / 24.0, float(m ** (spec.p - 1) @ u_vector(q))
 
 
 def quartic_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
@@ -585,15 +612,8 @@ def quartic_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
     """
     if point_class is None:
         point_class = classify_point(spec)
-    if point_class.tag is not PointTag.SPECIAL_TYPE_I:
-        raise ClassificationError(f"quartic law requires a type-I special point, got {point_class.tag}")
-    s, m = _maximizer_info(spec, point_class)
-    f4 = f_deriv(spec, s, 4)
-    if f4 >= 0:
-        raise ClassificationError(f"f'''' must be negative, got {f4}")
-    q = spec.q
-    coef4 = q ** 4 * f4 / 24.0
-    coef1 = beta_bar * spec.p * float(m ** (spec.p - 1) @ u_vector(q)) + h_bar * (1 - q)
+    coef4, slope = _quartic_coefs(spec, point_class)
+    coef1 = beta_bar * spec.p * slope + h_bar * (1 - spec.q)
     radius = _tilt_radius(coef4, 4, coef1)
     return GridLaw("QuarticTilt", lambda x: coef4 * x ** 4 + coef1 * x, radius,
                    params={"coef4": coef4, "coef1": coef1,
@@ -602,11 +622,10 @@ def quartic_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
 
 def sextic_law(h_bar: float = 0.0) -> GridLaw:
     """Limit of T_N at the type-II special point: exp(-32/15 x^6 - h_bar x)."""
-    coef6 = -32.0 / 15.0
     coef1 = -h_bar
-    radius = _tilt_radius(coef6, 6, coef1)
-    return GridLaw("SexticTilt", lambda x: coef6 * x ** 6 + coef1 * x, radius,
-                   params={"coef6": coef6, "coef1": coef1, "h_bar": h_bar})
+    radius = _tilt_radius(SEXTIC_COEF, 6, coef1)
+    return GridLaw("SexticTilt", lambda x: SEXTIC_COEF * x ** 6 + coef1 * x, radius,
+                   params={"coef6": SEXTIC_COEF, "coef1": coef1, "h_bar": h_bar})
 
 
 def gaussian_limit_regular(spec: ModelSpec, beta_bar: float = 0.0,
@@ -698,14 +717,6 @@ def v_limit_covariance(spec: ModelSpec,
     return GaussianSimplex(mean=np.zeros(q), cov=cov)
 
 
-def product_tv_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
-                   point_class: PointClass | None = None) -> ProductTV:
-    """Joint (T, V) limit at a type-I special point; T and V are independent."""
-    t = quartic_law(spec, beta_bar, h_bar, point_class)
-    v = v_limit_covariance(spec, point_class)
-    return ProductTV(t_law=t, v_law=v)
-
-
 def _is_axis_transition(spec: ModelSpec, point_class: PointClass) -> bool:
     """True at (beta_c, 0): strongly critical with s = 0 among the tied maximizers."""
     return spec.h == 0.0 and min(point_class.witness.s_values) < 1e-9
@@ -738,19 +749,13 @@ def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
 
     if tag is PointTag.SPECIAL_TYPE_I:
         outer = quartic_law(spec, 0.0, 0.0, point_class)
-
-        def mu(t: float) -> float:
-            return quartic_law(spec, 0.0, t, point_class).mean()
-
-        return ComposedLaw("G1", outer, mu, negate_mean=not stated_form)
+        coef4, _ = _quartic_coefs(spec, point_class)
+        return ComposedLaw("G1", outer, lambda t: _tilted_means(coef4, 4, t * (1 - q)),
+                           negate_mean=not stated_form)
 
     if tag is PointTag.SPECIAL_TYPE_II:
-        outer = sextic_law(0.0)
-
-        def mu(t: float) -> float:
-            return sextic_law(t).mean()
-
-        return ComposedLaw("G2", outer, mu, negate_mean=not stated_form)
+        return ComposedLaw("G2", sextic_law(0.0), lambda t: _tilted_means(SEXTIC_COEF, 6, -t),
+                           negate_mean=not stated_form)
 
     def var_plain(s):
         return -(q * q / (q - 1.0) ** 2) * f_deriv(spec, s, 2)
@@ -844,11 +849,9 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
             law.alpha = alpha
             return law
         outer = quartic_law(spec, 0.0, 0.0, point_class)
-
-        def mu(t: float) -> float:
-            return quartic_law(spec, t, 0.0, point_class).mean()
-
-        return ComposedLaw("L1", outer, mu, negate_mean=True)
+        coef4, slope = _quartic_coefs(spec, point_class)
+        return ComposedLaw("L1", outer, lambda t: _tilted_means(coef4, 4, t * p * slope),
+                           negate_mean=True)
 
     if tag is PointTag.SPECIAL_TYPE_II:
         base = sextic_law(0.0)

@@ -26,7 +26,6 @@ The classification taxonomy:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -595,7 +594,3 @@ def curve_to_csv(samples, path) -> None:
         fh.write("h,beta,s_low,s_high\n")
         for c in samples:
             fh.write("%.17g,%.17g,%.17g,%.17g\n" % (c.h, c.beta, c.s_low, c.s_high))
-
-
-def point_class_to_json(pc: PointClass) -> str:
-    return json.dumps(pc.to_json_dict())

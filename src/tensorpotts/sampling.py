@@ -150,22 +150,19 @@ def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> list:
     expo = _EXPONENTS[point_class.tag]
     mats = np.stack(point_class.witness.vectors, axis=0)
     d2 = ((samples[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
+    d = samples - mats[np.argmin(d2, axis=1)]
+    sqrtn = math.sqrt(N)
+    w = sqrtn * d
+    if expo == 0.5:
+        return [RescaledSample(raw=x, w=wi, t_n=None, v_n=None, scale_exponent=expo)
+                for x, wi in zip(samples, w)]
     u = u_vector(spec.q)
     uu = float(u @ u)  # equals q(q-1)
-    out = []
-    sqrtn = math.sqrt(N)
-    for x, k in zip(samples, nearest):
-        d = x - mats[k]
-        w = sqrtn * d
-        if expo == 0.5:
-            out.append(RescaledSample(raw=x, w=w, t_n=None, v_n=None, scale_exponent=expo))
-        else:
-            coef = float(d @ u) / uu
-            t_n = N ** expo * coef
-            v_n = sqrtn * (d - coef * u)
-            out.append(RescaledSample(raw=x, w=w, t_n=t_n, v_n=v_n, scale_exponent=expo))
-    return out
+    coef = (d * u).sum(axis=1) / uu
+    t_n = N ** expo * coef
+    v_n = sqrtn * (d - coef[:, None] * u)
+    return [RescaledSample(raw=x, w=wi, t_n=float(t), v_n=v, scale_exponent=expo)
+            for x, wi, t, v in zip(samples, w, t_n, v_n)]
 
 
 def write_samples_csv(path, rescaled, spec: ModelSpec, N: int, seed: int) -> None:

@@ -131,6 +131,23 @@ class TestExactLaw:
         assert np.array_equal(loaded.log_probs, law.log_probs)
 
 
+@pytest.mark.parametrize("damage", ["header_cut", "mid_record_cut", "record_boundary_cut",
+                                    "q_mismatch"])
+def test_load_rejects_damaged_dump(tmp_path, damage):
+    spec = ModelSpec(4, 3, 0.9, 0.4)
+    law = magnetization_law(spec, 30)
+    path = tmp_path / "law.bin"
+    law.save(path)
+    data = path.read_bytes()
+    itemsize = (len(data) - 24) // len(law.log_probs)
+    cut = {"header_cut": 10, "mid_record_cut": len(data) - itemsize // 2,
+           "record_boundary_cut": len(data) - itemsize, "q_mismatch": len(data)}[damage]
+    path.write_bytes(data[:cut])
+    load_spec = ModelSpec(4, 4, 0.9, 0.4) if damage == "q_mismatch" else spec
+    with pytest.raises(DomainError):
+        law.load(path, load_spec)
+
+
 class TestExpectations:
     def test_free_case_u1(self):
         for q in (2, 3, 4):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorpotts import (
     ModelSpec,
@@ -35,6 +37,8 @@ from tensorpotts.laws import (
     MixtureLaw,
     NormalLaw,
     SquaredGridLaw,
+    _tilt_radius,
+    _tilted_means,
     density_table,
     law_to_json,
 )
@@ -383,6 +387,46 @@ class TestEstimatorLimits:
         vals = l1.cdf(ts)
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] < 0.02 and vals[-1] > 0.98
+
+
+@given(degree=st.sampled_from([4, 6]), coef_high=st.floats(-100.0, -0.01),
+       tilts=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_tilted_means_match_scalar_grid_law(degree, coef_high, tilts):
+    means = _tilted_means(coef_high, degree, np.array(tilts))
+    for c, mean in zip(tilts, means):
+        law = GridLaw("Tilt", lambda x: coef_high * x ** degree + c * x,
+                      _tilt_radius(coef_high, degree, c))
+        assert abs(mean - law.mean()) <= 1e-12
+
+
+def _scalar_oracle(law, scalar_mean):
+    """The composed law rebuilt with one scalar grid law per tilt."""
+    def tilted_mean(ts):
+        return np.array([scalar_mean(float(t)) for t in ts])
+
+    return ComposedLaw(law.name, law.outer, tilted_mean, negate_mean=law.negate_mean)
+
+
+@pytest.mark.parametrize("name", ["G1", "L1", "G2"])
+def test_composed_laws_match_scalar_oracle(name, special43):
+    if name == "G2":
+        spec = ModelSpec(4, 2, 2 / 3, 0.0)
+        law = hhat_limit(spec, classify_point(spec))
+        oracle = _scalar_oracle(law, lambda t: sextic_law(t).mean())
+    else:
+        spec, pc = special43
+        if name == "G1":
+            law = hhat_limit(spec, pc)
+            oracle = _scalar_oracle(law, lambda t: quartic_law(spec, 0.0, t, pc).mean())
+        else:
+            law = bhat_limit(spec, pc)
+            oracle = _scalar_oracle(law, lambda t: quartic_law(spec, t, 0.0, pc).mean())
+    assert law.name == name
+    ts = np.linspace(-60, 60, 200)
+    assert np.max(np.abs(law.cdf(ts) - oracle.cdf(ts))) <= 1e-10
+    for u in (0.025, 0.975):
+        assert law.quantile(u) == pytest.approx(oracle.quantile(u), abs=1e-10)
 
 
 class TestNormPLimit:
