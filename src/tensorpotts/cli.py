@@ -16,7 +16,9 @@ import sys
 
 import numpy as np
 
-from . import exact, inference, laws, phase, sampling
+# The phase-only commands need no more than this; the other layers (and
+# scipy with them) are imported inside the commands that use them.
+from . import phase
 from .errors import NonConvergenceError, PreconditionError, TensorPottsError
 from .model import ModelSpec
 from .phase import PointTag
@@ -105,6 +107,8 @@ def cmd_phase_diagram(args) -> None:
 
 
 def cmd_exact(args) -> None:
+    from . import exact
+
     spec = _spec(args)
     law = exact.magnetization_law(spec, args.N)
     u1 = float(law.probs() @ (law.support[:, 0] / args.N))
@@ -121,6 +125,8 @@ def cmd_exact(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from . import exact, laws, sampling
+
     spec = _spec(args)
     pc = phase.classify_point(spec, tol_class=args.tol_class)
     law = exact.magnetization_law(spec, args.N)
@@ -156,12 +162,16 @@ def _load_data_vector(args, spec: ModelSpec):
             raise PreconditionError(f"data row has {vec.shape[0]} columns, expected q={spec.q}")
         return vec
     if args.simulate:
+        from . import exact, sampling
+
         law = exact.magnetization_law(spec, args.N)
         return sampling.exact_sample(law, 1, args.seed)[0]
     raise PreconditionError("provide --data FILE or --simulate")
 
 
 def _estimate_payload(args, method: str) -> dict:
+    from . import inference
+
     spec = _spec(args)
     data = _load_data_vector(args, spec)
     if args.param == "h":
@@ -201,6 +211,8 @@ def cmd_ci(args) -> None:
 
 
 def cmd_limit_check(args) -> None:
+    from . import exact, laws, sampling
+
     spec = _spec(args)
     pc = phase.classify_point(spec, tol_class=args.tol_class)
     law = exact.magnetization_law(spec, args.N)

@@ -15,7 +15,8 @@ Confidence sets: the plain plug-in intervals around the estimates are
 asymptotically valid at regular points.  They are made universally valid
 either by uniting the (at most one) point of the critical-set closure on the
 relevant parameter slice, or by the two-step procedure that first tests that
-point with the estimator's critical/special limiting law.
+point with the estimator's critical/special limiting law.  The slice points
+come from Newton continuation of the tie system along the critical curve.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .phase import (
     classify_point,
     compute_beta_c,
     compute_special_point,
+    trace_critical_curve,
 )
 
 BRACKET_CAP = 64.0
@@ -257,12 +259,12 @@ def ci_beta(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
 
 def critical_slice_h(p: int, q: int, beta: float,
                      beta_c: float | None = None,
-                     special: SpecialPoint | None = None,
-                     curve_tol: float = 1e-10) -> list:
+                     special: SpecialPoint | None = None) -> list:
     """S(beta): the h values putting (beta, h) in the closure of the critical set.
 
     At most one point: h = 0 for beta >= beta_c, the curve height phi^{-1}(beta)
-    for beta_tilde <= beta < beta_c, nothing below beta_tilde.
+    for beta_tilde <= beta < beta_c, nothing below beta_tilde.  The curve
+    height comes from Newton continuation in beta from (beta_c, 0).
     """
     if beta_c is None:
         beta_c = compute_beta_c(p, q)
@@ -274,42 +276,23 @@ def critical_slice_h(p: int, q: int, beta: float,
         return []
     if abs(beta - special.beta_tilde) <= 1e-12:
         return [special.h_tilde]
-    # invert the strictly decreasing curve by bisection in h
-    lo, hi = 0.0, special.h_tilde
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        phi_mid = _phi_at(p, q, mid, beta_c, special)
-        if phi_mid > beta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < curve_tol:
-            break
-    return [0.5 * (lo + hi)]
-
-
-def _phi_at(p: int, q: int, h: float, beta_c: float, special: SpecialPoint) -> float:
-    from .phase import _solve_tie  # curve machinery
-
-    lo, hi = special.beta_tilde, beta_c * (1.0 + 1e-3) + 1e-6
-    return _solve_tie(p, q, h, lo, hi, special.s_pq)
+    return [trace_critical_curve(p, q, "beta", [beta], beta_c)[0].h]
 
 
 def critical_slice_beta(p: int, q: int, h: float,
                         beta_c: float | None = None,
                         special: SpecialPoint | None = None) -> list:
-    """T(h) for h != 0: the beta with (beta, h) in the critical-set closure."""
+    """T(h) for h != 0: the beta with (beta, h) in the critical-set closure,
+    by Newton continuation in h from (beta_c, 0)."""
     if h == 0.0:
         raise DomainError("T(h) is defined for h != 0")
     if special is None:
         special = compute_special_point(p, q)
     if special.h_tilde <= 0 or h > special.h_tilde + 1e-12:
         return []
-    if beta_c is None:
-        beta_c = compute_beta_c(p, q)
     if abs(h - special.h_tilde) <= 1e-12:
         return [special.beta_tilde]
-    return [_phi_at(p, q, h, beta_c, special)]
+    return [trace_critical_curve(p, q, "h", [h], beta_c)[0].beta]
 
 
 def augment_ci(cs: ConfidenceSet, slice_points) -> ConfidenceSet:

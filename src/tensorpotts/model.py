@@ -172,6 +172,13 @@ def k_deriv(spec: ModelSpec, x, order: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _ray_coefs(q: int, order: int):
+    """Chain-rule factors of k^(n) at (1+(q-1)s)/q and (1-s)/q in f^(n)(s)."""
+    # the two coefficients must cancel exactly at order 1 so that f'(0) = 0
+    # at h = 0 in floating point; (q-1)*(-1/q)**n rounds differently
+    return ((q - 1.0) / q) ** order, (-1.0) ** order * (q - 1.0) / q ** order
+
+
 def f_deriv(spec: ModelSpec, s, order: int):
     """n-th derivative of the reduced free energy f(s) along the x_s ray.
 
@@ -181,10 +188,7 @@ def f_deriv(spec: ModelSpec, s, order: int):
     if not (0 <= order <= MAX_DERIV_ORDER):
         raise DomainError(f"derivative order must be 0..{MAX_DERIV_ORDER}, got {order}")
     q = spec.q
-    # the two coefficients must cancel exactly at order 1 so that f'(0) = 0
-    # at h = 0 in floating point; (q-1)*(-1/q)**n rounds differently
-    coef_a = ((q - 1.0) / q) ** order
-    coef_b = (-1.0) ** order * (q - 1.0) / q ** order
+    coef_a, coef_b = _ray_coefs(q, order)
     if isinstance(s, (float, int)):
         s = float(s)
         if s < 0 or s > 1.0 - BOUNDARY_DELTA:
@@ -208,6 +212,17 @@ def f_deriv(spec: ModelSpec, s, order: int):
     elif order == 1:
         val = val + spec.h * (q - 1.0) / q
     return float(val) if np.ndim(val) == 0 else val
+
+
+def f_beta_deriv(spec: ModelSpec, s, order: int):
+    """d/dbeta of f^(n)(s) (float or array s): the polynomial part of f^(n)
+    over beta, (p)_n (((q-1)/q)^n a^(p-n) + (q-1)(-1/q)^n b^(p-n)) at the ray
+    coordinates a, b; zero for n > p, and exactly 0 at s = 0 for n = 1."""
+    p, q = spec.p, spec.q
+    coef_a, coef_b = _ray_coefs(q, order)
+    a = (1.0 + (q - 1.0) * s) / q
+    b = (1.0 - s) / q
+    return _falling_factorial(p, order) * (coef_a * a ** (p - order) + coef_b * b ** (p - order))
 
 
 def f_derivative_bundle(spec: ModelSpec, s: float) -> SDerivatives:

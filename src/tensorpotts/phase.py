@@ -13,6 +13,11 @@ II), and computes the landmark objects of the phase diagram:
 * the strongly-critical curve ``beta = phi(h)`` joining ``(beta_c, 0)`` to the
   special point, on which two distinct maximizers tie.
 
+The landmarks solve small square systems by Newton's method with closed-form
+derivatives, each seeded and certified by one vectorised scan; the curve and
+its slices follow the tie system by natural-parameter continuation (secant
+predictor, Newton corrector, step halving, a grid certificate per sample).
+
 The classification taxonomy:
 
 * regular          -- unique maximizer of H, f''(s*) < 0;
@@ -35,7 +40,9 @@ from .errors import DomainError, NonConvergenceError
 from .model import (
     BOUNDARY_DELTA,
     ModelSpec,
+    f_beta_deriv,
     f_deriv,
+    k_deriv,
     x_of_s,
 )
 
@@ -44,7 +51,7 @@ from .model import (
 SCAN_CELLS = 4096
 REFINE_FACTOR = 16
 
-# Stationarity residual targeted by the polisher.
+# Stationarity residual targeted by the polisher and required of Newton ties.
 STATIONARY_TOL = 1e-12
 
 # Absolute tie tolerance (in f-value) for "equal maxima".
@@ -143,31 +150,19 @@ class PhaseDiagram:
 # roots (seen at the type-II point, where f' ~ -s^5/5 underflows near 0).
 SIGN_NOISE_FLOOR = 1e-13
 
+# Newton on the landmark and tie systems stops once a step is below
+# NEWTON_STEP_TOL (relative to max(1, |x|)), the residuals are at rounding
+# level (1e-15), or after NEWTON_MAX_STEPS; the residuals then decide.  Continuation gives up once halving has cut the
+# parameter step below MIN_CONTINUATION_STEP.
+NEWTON_MAX_STEPS = 30
+NEWTON_STEP_TOL = 1e-13
+MIN_CONTINUATION_STEP = 1e-9
 
-def _scan_roots(g, lo: float, hi: float, cells: int):
-    """Sign-change cells of g on [lo, hi] with one refinement pass."""
-    s = np.linspace(lo, hi, cells + 1)
-    v = g(s)
-    sign = np.sign(v)
-    brackets = []
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0)
-                       & (np.maximum(np.abs(v[:-1]), np.abs(v[1:])) > SIGN_NOISE_FLOOR))[0]
-    # grid nodes where g lands exactly on 0.0 count only when flanked by
-    # genuinely opposite signs (underflow near flat roots also produces zeros)
-    exact = np.nonzero((v[1:-1] == 0.0)
-                       & (sign[:-2] * sign[2:] < 0)
-                       & (np.minimum(np.abs(v[:-2]), np.abs(v[2:])) > SIGN_NOISE_FLOOR))[0] + 1
-    for i in flips:
-        # refine once: clustered roots near criticality can share a cell
-        ss = np.linspace(s[i], s[i + 1], REFINE_FACTOR + 1)
-        vv = g(ss)
-        sub = np.nonzero(np.sign(vv[:-1]) * np.sign(vv[1:]) < 0)[0]
-        for j in sub:
-            brackets.append((ss[j], ss[j + 1], vv[j]))
-        if len(sub) == 0:
-            brackets.append((s[i], s[i + 1], v[i]))
-    roots_exact = [float(s[i]) for i in exact]
-    return brackets, roots_exact
+# The landmark scans and the tie certificate run on 1024 uniform cells plus
+# a geometric tail toward the guard, where the ordered maximizer of large p
+# sits: Newton needs a start within a factor e of the true 1 - s.
+_GRID = np.union1d(np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025),
+                   1.0 - np.logspace(-9, -3, 49))
 
 
 def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:
@@ -204,14 +199,16 @@ def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:
     return float(root)
 
 
-def find_stationary_points(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
-    """All roots of f' in [0, 1 - delta], as polished StationaryPoints.
+def _stationary(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
+    """(s, is_local_min) for every root of f' in [0, 1 - delta], ascending.
 
-    A uniform sign-change scan (default 4096 cells) with one refinement pass,
-    followed by bisection and Newton polishing to |f'| <= 1e-12.  s = 0 is a
-    stationary point exactly when h = 0 and is included then.
+    A uniform sign-change scan of f' with one refinement pass near sign
+    changes, then bisection and Newton polishing to |f'| <= 1e-12.  s = 0 is
+    a root when f'(0) = h (q-1)/q is below the sign-noise floor (always at
+    h = 0).  The flag is read off the scan's f' signs (f' rising through the
+    root), not off f'', so the degenerate maxima at the special points, where
+    f'' = 0, are not mistaken for minima.
     """
-    hi = 1.0 - BOUNDARY_DELTA
 
     def g(s):
         return f_deriv(spec, s, 1)
@@ -219,49 +216,76 @@ def find_stationary_points(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
     def dg(s):
         return f_deriv(spec, s, 2)
 
-    brackets, exact = _scan_roots(g, 0.0, hi, cells)
-    roots = list(exact)
-    if spec.h == 0.0:
-        roots.append(0.0)
-    for (lo, hi_b, glo) in brackets:
-        roots.append(_polish_root(g, dg, lo, hi_b, glo))
-    roots = sorted(set(roots))
+    s = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, cells + 1)
+    v = g(s)
+    sign = np.sign(v)
+    loud = np.abs(v) > SIGN_NOISE_FLOOR
+    roots = []
+    if not loud[0]:
+        # s = 0 is a minimum when f leaves the noise floor rising
+        first = int(np.argmax(loud))
+        roots.append((0.0, bool(loud[first] and v[first] > 0)))
+    # grid nodes where f' lands exactly on 0.0 count only when flanked by
+    # genuinely opposite signs (underflow near flat roots also produces zeros)
+    exact = np.nonzero((v[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0)
+                       & loud[:-2] & loud[2:])[0] + 1
+    roots += [(float(s[i]), bool(v[i - 1] < 0)) for i in exact]
+    for i in np.nonzero((sign[:-1] * sign[1:] < 0) & (loud[:-1] | loud[1:]))[0]:
+        # refine once: clustered roots near criticality can share a cell
+        ss = np.linspace(s[i], s[i + 1], REFINE_FACTOR + 1)
+        vv = g(ss)
+        sub = np.nonzero(np.sign(vv[:-1]) * np.sign(vv[1:]) < 0)[0]
+        brackets = [(ss[j], ss[j + 1], vv[j]) for j in sub] or [(s[i], s[i + 1], v[i])]
+        roots += [(_polish_root(g, dg, lo, hi, glo), bool(glo < 0))
+                  for lo, hi, glo in brackets]
     merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < 1e-11:
-            continue
-        merged.append(r)
-    return [
-        StationaryPoint(s=r, f_value=f_deriv(spec, r, 0), f2=f_deriv(spec, r, 2))
-        for r in merged
-    ]
+    for root in sorted(roots):
+        if not merged or root[0] - merged[-1][0] >= 1e-11:
+            merged.append(root)
+    return merged
 
 
-def _local_maxima_fast(spec: ModelSpec, cells: int) -> list:
-    """(s, f) of the local maxima of f, on a coarser scan for curve tracing."""
-    return [(pt.s, pt.f_value) for pt in find_stationary_points(spec, cells) if pt.f2 < 0]
+def _point(spec: ModelSpec, s: float) -> StationaryPoint:
+    return StationaryPoint(s=s, f_value=f_deriv(spec, s, 0), f2=f_deriv(spec, s, 2))
+
+
+def find_stationary_points(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
+    """All roots of f' in [0, 1 - delta] (see ``_stationary``), as polished
+    StationaryPoints; s = 0 is among them whenever h = 0."""
+    return [_point(spec, s) for s, _ in _stationary(spec, cells)]
+
+
+def _maximizer_candidates(spec: ModelSpec) -> list:
+    """The one rule for global-maximizer candidates of f.
+
+    Every stationary point that is not a local minimum, plus the guard edge
+    s = 1 - delta when f' > 0 there: the maximizer then sits inside the
+    boundary guard (strong coupling), and the edge stands in for it.
+    """
+    pts = [_point(spec, s) for s, is_min in _stationary(spec) if not is_min]
+    edge = 1.0 - BOUNDARY_DELTA
+    if f_deriv(spec, edge, 1) > 0:
+        pts.append(_point(spec, edge))
+    if not pts:
+        raise NonConvergenceError(f"no maximizer candidate above the f' noise floor at {spec}")
+    return pts
 
 
 def global_maximizers_1d(spec: ModelSpec, tie_tol: float = TIE_TOL) -> list:
-    """Stationary points achieving the maximum of f within tie_tol (one or two).
+    """Maximizer candidates achieving the maximum of f within tie_tol (one or two).
 
     At extreme parameters the maximizer can sit inside the boundary guard
-    (s > 1 - 1e-9, where f' is still positive on the whole visible range); the
-    guard edge is then reported as the maximizer.
+    (s > 1 - 1e-9, where f' is still positive at the guard); the guard edge
+    is then reported as the maximizer.
     """
     if tie_tol <= 0:
         raise DomainError("tie_tol must be positive")
-    pts = find_stationary_points(spec)
-    if not pts:
-        edge = 1.0 - BOUNDARY_DELTA
-        pts = [StationaryPoint(s=edge, f_value=f_deriv(spec, edge, 0),
-                               f2=f_deriv(spec, edge, 2))]
+    pts = _maximizer_candidates(spec)
     best = max(pt.f_value for pt in pts)
     winners = [pt for pt in pts if pt.f_value >= best - tie_tol]
     # the free energy admits at most two tied maximizers
     if len(winners) > 2:
-        winners = sorted(winners, key=lambda pt: -pt.f_value)[:2]
-        winners = sorted(winners, key=lambda pt: pt.s)
+        winners = sorted(sorted(winners, key=lambda pt: -pt.f_value)[:2], key=lambda pt: pt.s)
     return winners
 
 
@@ -272,7 +296,10 @@ def full_maximizer_set(spec: ModelSpec, tie_tol: float = TIE_TOL) -> MaximizerSe
     h = 0 with s > 0 contributes all q permutations of x_s; s = 0 contributes
     the uniform vector once.
     """
-    winners = global_maximizers_1d(spec, tie_tol)
+    return _maximizer_set(spec, global_maximizers_1d(spec, tie_tol))
+
+
+def _maximizer_set(spec: ModelSpec, winners) -> MaximizerSet:
     q = spec.q
     vectors = []
     for pt in winners:
@@ -304,12 +331,12 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
 
     ``tol_class`` bounds |f''(s*)| for the special tags (and |f''''| for type
     II via F4_TOL).  Points with |f''| in (tol_class, 10 tol_class) get a
-    nearness warning but are still classified.
+    nearness warning but are still classified.  One stationary-point scan.
     """
     if tol_class <= 0:
         raise DomainError("tol_class must be positive")
     winners = global_maximizers_1d(spec, tie_tol)
-    wit = full_maximizer_set(spec, tie_tol)
+    wit = _maximizer_set(spec, winners)
     f_values = tuple(pt.f_value for pt in winners)
     warnings = []
     f2s = [pt.f2 for pt in winners]
@@ -344,185 +371,209 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
     return PointClass(tag=tag, witness=wit, f_values=f_values, warnings=tuple(warnings))
 
 
-def _max_f_positive(spec: ModelSpec):
-    """Largest f over the positive stationary points, or None if there is none.
+def _axis_beta(p: int, q: int) -> float:
+    """Root of f''_{beta,0}(0) = (q-1)/q (beta p (p-1) q^(2-p) - q), linear in
+    beta: beta_c and beta_tilde of the continuous transitions (q = 2, p <= 4)."""
+    return q ** (p - 1) / (p * (p - 1))
 
-    When the ordered maximizer escapes the boundary guard (f' still positive
-    at s = 1 - delta), the guard edge stands in for it; without this the tie
-    predicate would go falsely negative at extreme beta.
+
+def _tie_newton(p: int, q: int, h: float, beta: float, s_lo: float, s_hi: float,
+                free: str):
+    """Newton on F = (f'(s_lo), f'(s_hi), f(s_hi) - f(s_lo)) = 0 in s_lo, s_hi
+    and the parameter named by ``free`` ("beta" or "h"), the other one fixed.
+
+    The Jacobian is closed-form: f'' on the diagonal, d_beta f^(n) from
+    ``f_beta_deriv``, d_h f' = (q-1)/q and d_h f = (1 + (q-1) s)/q.  At h = 0
+    with beta free, f'(0) = d_beta f'(0) = 0 exactly, so s_lo = 0 stays 0.
+    Returns None when an iterate leaves the domain or stops being two
+    distinct local maxima (f'' < 0), or the residuals miss STATIONARY_TOL.
     """
-    pts = find_stationary_points(spec)
-    pos = [pt.f_value for pt in pts if pt.s > 1e-9]
-    edge = 1.0 - BOUNDARY_DELTA
-    if f_deriv(spec, edge, 1) > 0:
-        pos.append(f_deriv(spec, edge, 0))
-    if not pos:
+    done = False
+    for it in range(NEWTON_MAX_STEPS + 1):
+        if not (0.0 <= s_lo < s_hi <= 1.0 - BOUNDARY_DELTA and beta >= 0 and h >= 0):
+            return None
+        spec = ModelSpec(p, q, beta, h)
+        g_lo, g_hi = f_deriv(spec, s_lo, 1), f_deriv(spec, s_hi, 1)
+        d_lo, d_hi = f_deriv(spec, s_lo, 2), f_deriv(spec, s_hi, 2)
+        gap = f_deriv(spec, s_hi, 0) - f_deriv(spec, s_lo, 0)
+        if d_lo >= 0 or d_hi >= 0:
+            return None
+        if done or it == NEWTON_MAX_STEPS or max(abs(g_lo), abs(g_hi), abs(gap)) <= 1e-15:
+            break
+        if free == "beta":
+            c_lo, c_hi = f_beta_deriv(spec, s_lo, 1), f_beta_deriv(spec, s_hi, 1)
+            c_gap = f_beta_deriv(spec, s_hi, 0) - f_beta_deriv(spec, s_lo, 0)
+        else:
+            c_lo = c_hi = (q - 1.0) / q
+            c_gap = c_lo * (s_hi - s_lo)
+        # the s-rows are diagonal: eliminate them and solve for the free step
+        w = ((g_hi * g_hi / d_hi - g_lo * g_lo / d_lo - gap)
+             / (c_gap + g_lo * c_lo / d_lo - g_hi * c_hi / d_hi))
+        u = -(g_lo + c_lo * w) / d_lo
+        v = -(g_hi + c_hi * w) / d_hi
+        # s_lo and h start at 0 on the axis: rounding must not push them below
+        s_lo, s_hi = max(s_lo + u, 0.0), s_hi + v
+        if free == "beta":
+            beta += w
+        else:
+            h = max(h + w, 0.0)
+        done = max(abs(u), abs(v), abs(w) / max(1.0, beta + h)) <= NEWTON_STEP_TOL
+    # near the guard f'' is large and one ulp of s moves f' by ~1e-16 |f''|
+    if (abs(gap) > STATIONARY_TOL or abs(g_lo) > STATIONARY_TOL - 1e-15 * d_lo
+            or abs(g_hi) > STATIONARY_TOL - 1e-15 * d_hi):
         return None
-    return max(pos)
+    return CriticalCurveSample(h=h, beta=beta, s_low=s_lo, s_high=s_hi)
 
 
-def compute_beta_c(p: int, q: int, tol: float = 1e-10) -> float:
+def _beaten(tie: CriticalCurveSample, p: int, q: int) -> bool:
+    """Certificate: does a third local maximum of f beat the tie?
+
+    One vectorised pass of f and f' over the scan grid.  A cell where f'
+    falls through zero holds a local maximum, whose height is estimated with
+    f' linear across the cell; the guard edge counts when f is still rising
+    there.  Cells within two cells of s_low or s_high are skipped.
+    """
+    spec = ModelSpec(p, q, tie.beta, tie.h)
+    f = f_deriv(spec, _GRID, 0)
+    g = f_deriv(spec, _GRID, 1)
+    i = np.nonzero((g[:-1] > 0) & (g[1:] <= 0))[0]
+    peaks = np.append(f[i] + 0.5 * (_GRID[i + 1] - _GRID[i]) * g[i] * g[i] / (g[i] - g[i + 1]),
+                      f[-1] if g[-1] > 0 else -np.inf)
+    cells = np.append(i, len(_GRID) - 1)
+    keep = np.searchsorted(_GRID, [tie.s_low, tie.s_high])
+    far = np.all(np.abs(cells[:, None] - keep[None, :]) > 2, axis=1)
+    f_top = max(f_deriv(spec, tie.s_low, 0), f_deriv(spec, tie.s_high, 0))
+    return bool(np.any(peaks[far] > f_top + TIE_TOL))
+
+
+def _axis_tie(p: int, q: int, beta: float | None = None):
+    """The h = 0 tie f(s_c) = f(0) at beta_c, as a curve sample with s_low = 0.
+
+    f_beta(s) - f_beta(0) = beta (P(s) - P(0)) - (E(0) - E(s)) with P = sum
+    x_r^p and E the entropy, so s > 0 first ties at beta = min C(s), C =
+    (E(0) - E(s)) / (P(s) - P(0)).  One vectorised scan of C seeds Newton in
+    (s, beta) (started at ``beta`` when given) and certifies the result: no
+    grid point ties at a smaller beta.  None for a continuous transition,
+    where C(0+) = ``_axis_beta`` is the minimum.
+    """
+    ent = ModelSpec(p, q, 0.0, 0.0)
+    s = _GRID[1:]
+    c = ((f_deriv(ent, s, 0) - f_deriv(ent, 0.0, 0))
+         / (f_beta_deriv(ent, 0.0, 0) - f_beta_deriv(ent, s, 0)))
+    i = int(np.argmin(c))
+    # cancellation in C near s = 0 stays far below this margin
+    if c[i] >= _axis_beta(p, q) * (1.0 - 1e-6):
+        return None
+    tie = _tie_newton(p, q, 0.0, float(c[i]) if beta is None else beta,
+                      0.0, float(s[i]), "beta")
+    if tie is None and i == len(s) - 1:
+        # the ordered maximizer sits inside the boundary guard: the edge stands in
+        return CriticalCurveSample(h=0.0, beta=float(c[i]), s_low=0.0, s_high=float(s[i]))
+    if tie is None or tie.beta > c[i] * (1.0 + 1e-10):
+        raise NonConvergenceError(f"the h = 0 tie of ({p}, {q}) did not converge")
+    return tie
+
+
+def compute_beta_c(p: int, q: int) -> float:
     """Transition point beta_c: the infimum of beta at which f_{beta,0} gains
     a positive global maximizer.
 
-    Bisection on the monotone predicate "some s > 0 ties or beats f(0), or
-    f''(0) > 0".  The curvature arm makes the predicate sharp for continuous
-    transitions (q = 2, p <= 4), where the f-value tie degenerates
-    quadratically; both arms are monotone in beta.
+    For a first-order transition this is the h = 0 tie f(s_c) = f(0), solved
+    by Newton from one vectorised scan (``_axis_tie``); for the continuous
+    ones (q = 2, p <= 4) it is the closed-form root of f''_{beta,0}(0).
     """
-
-    def pred(beta: float) -> bool:
-        spec = ModelSpec(p, q, beta, 0.0)
-        if f_deriv(spec, 0.0, 2) > 0:
-            return True
-        top = _max_f_positive(spec)
-        return top is not None and top > f_deriv(spec, 0.0, 0)
-
-    lo, hi = 0.0, 1.0
-    while not pred(hi):
-        lo, hi = hi, hi * 2
-        if hi > 1e6:
-            raise NonConvergenceError("no transition found below beta = 1e6")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    tie = _axis_tie(p, q)
+    return _axis_beta(p, q) if tie is None else tie.beta
 
 
-def _sup_f2(spec: ModelSpec, cells: int = SCAN_CELLS):
-    """(sup of f'' over [0, 1 - delta], argmax)."""
-    hi = 1.0 - BOUNDARY_DELTA
-    s = np.linspace(0.0, hi, cells + 1)
-    v = f_deriv(spec, s, 2)
-    i = int(np.argmax(v))
-    lo_b = s[max(i - 1, 0)]
-    hi_b = s[min(i + 1, cells)]
-    # golden-section refine; f'' is smooth so this is plenty
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_b, hi_b
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = f_deriv(spec, c, 2)
-    fd = f_deriv(spec, d, 2)
-    for _ in range(90):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f_deriv(spec, c, 2)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f_deriv(spec, d, 2)
-        if b - a < 1e-14:
-            break
-    smax = 0.5 * (a + b)
-    val = f_deriv(spec, smax, 2)
-    v0 = f_deriv(spec, 0.0, 2)
-    if v0 >= val - 1e-12:
-        return v0, 0.0
-    return val, float(smax)
-
-
-def compute_special_point(p: int, q: int, tol: float = 1e-10) -> SpecialPoint:
+def compute_special_point(p: int, q: int) -> SpecialPoint:
     """The unique special point (beta_tilde, h_tilde) with its maximizer s_pq.
 
-    beta_tilde is the unique zero of w(beta) = sup_x f''_{beta,0}(x), which is
-    strictly increasing in beta; s_pq is the largest root of f''_{beta_tilde,0}
-    (equal to its argmax, since the sup is zero there); h_tilde is the k'
-    difference that makes s_pq stationary.
+    f'' is free of h and affine in beta, beta P2(s) + E2(s) with P2 > 0, so
+    beta_tilde (where sup_s f'' reaches 0) is min B(s), B = -E2/P2, at s_pq.
+    One vectorised scan of B seeds Newton on f'' = f''' = 0 in (beta, s) and
+    certifies the result; a minimum at s = 0 (q = 2, p <= 4) is the closed
+    form ``_axis_beta``.  h_tilde is the k' difference making s_pq stationary.
     """
-
-    def w(beta: float) -> float:
-        return _sup_f2(ModelSpec(p, q, beta, 0.0))[0]
-
-    lo, hi = 0.0, 1.0
-    while w(hi) < 0:
-        lo, hi = hi, hi * 2
-        if hi > 1e6:
-            raise NonConvergenceError("sup f'' stayed negative below beta = 1e6")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if w(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    beta_tilde = 0.5 * (lo + hi)
-    spec0 = ModelSpec(p, q, beta_tilde, 0.0)
-    _, s_pq = _sup_f2(spec0)
-    a = (1.0 + (q - 1.0) * s_pq) / q
-    b = (1.0 - s_pq) / q
-    from .model import k_deriv
-
-    h_tilde = k_deriv(spec0, b, 1) - k_deriv(spec0, a, 1)
+    ent = ModelSpec(p, q, 0.0, 0.0)
+    b_scan = -f_deriv(ent, _GRID, 2) / f_beta_deriv(ent, _GRID, 2)
+    i = int(np.argmin(b_scan))
+    if b_scan[0] <= b_scan[i] * (1.0 + 1e-12):
+        beta, s = _axis_beta(p, q), 0.0
+    else:
+        beta, s = float(b_scan[i]), float(_GRID[i])
+        for _ in range(NEWTON_MAX_STEPS):
+            spec = ModelSpec(p, q, beta, 0.0)
+            f2, f3, f4 = (f_deriv(spec, s, n) for n in (2, 3, 4))
+            p2, p3 = f_beta_deriv(spec, s, 2), f_beta_deriv(spec, s, 3)
+            det = p2 * f4 - f3 * p3
+            d_beta, d_s = (f3 * f3 - f2 * f4) / det, (f2 * p3 - p2 * f3) / det
+            beta, s = beta + d_beta, s + d_s
+            if not 0.0 < s < 1.0 - BOUNDARY_DELTA or max(abs(d_beta), abs(d_s)) <= NEWTON_STEP_TOL:
+                break
+        if not (0.0 < s < 1.0 - BOUNDARY_DELTA and beta <= b_scan[i] * (1.0 + 1e-10)):
+            raise NonConvergenceError(f"the special point of ({p}, {q}) did not converge")
+    spec0 = ModelSpec(p, q, beta, 0.0)
+    h_tilde = k_deriv(spec0, (1.0 - s) / q, 1) - k_deriv(spec0, (1.0 + (q - 1.0) * s) / q, 1)
     if abs(h_tilde) < 1e-12:
         h_tilde = 0.0
-    spec_t = ModelSpec(p, q, beta_tilde, h_tilde)
-    f4 = f_deriv(spec_t, s_pq, 4)
+    f4 = f_deriv(ModelSpec(p, q, beta, h_tilde), s, 4)
     kind = "II" if abs(f4) <= F4_TOL else "I"
     if f4 > F4_TOL:
         raise NonConvergenceError(f"f'''' = {f4} > 0 at the special maximizer")
-    return SpecialPoint(beta_tilde=beta_tilde, h_tilde=h_tilde, s_pq=s_pq, type=kind)
+    return SpecialPoint(beta_tilde=beta, h_tilde=h_tilde, s_pq=s, type=kind)
 
 
-def _tie_gap(p: int, q: int, beta: float, h: float, s_split: float,
-             cells: int = SCAN_CELLS) -> float:
-    """f(s_high) - f(s_low) over local maxima; +/-inf when one branch is missing.
+def trace_critical_curve(p: int, q: int, param: str, values,
+                         beta_c: float | None = None) -> list:
+    """Curve samples at the given ``values`` of ``param`` ("h", solving for
+    beta, or "beta", solving for h), moving monotonically away from the axis.
 
-    ``s_split`` separates the low-s and high-s branches (the special
-    maximizer s_pq works: the branches merge there).
+    Natural-parameter continuation from the h = 0 tie at beta_c (``beta_c``,
+    when given, starts that solve): a secant predictor through the last two
+    accepted points, the Newton corrector ``_tie_newton`` and the ``_beaten``
+    certificate.  When the corrector or the certificate fails, the step is
+    halved.  Callers keep h in [0, h_tilde) or beta in (beta_tilde, beta_c].
     """
-    maxima = _local_maxima_fast(ModelSpec(p, q, beta, h), cells)
-    if len(maxima) >= 2:
-        return maxima[-1][1] - maxima[0][1]
-    if len(maxima) == 1:
-        return np.inf if maxima[0][0] > s_split else -np.inf
-    return -np.inf
+    if param not in ("h", "beta"):
+        raise DomainError(f"param must be 'h' or 'beta', got {param!r}")
+    path = [_axis_tie(p, q, beta_c)]
+    if path[0] is None:
+        raise DomainError(f"({p}, {q}) has a continuous transition and no critical curve")
+    free = "beta" if param == "h" else "h"
 
+    def coords(tie):
+        return np.array([tie.s_low, tie.s_high, getattr(tie, free)])
 
-def _solve_tie(p: int, q: int, h: float, lo: float, hi: float, s_split: float,
-               cells: int = SCAN_CELLS) -> float:
-    """beta with f(s_high) = f(s_low) at this h; the gap is increasing in beta.
-
-    The bracket ends may sit outside the two-maxima window (infinite gap);
-    bisection shrinks to the finite window, then Brent finishes.
-    """
-    from scipy.optimize import brentq
-
-    def gap(beta):
-        return _tie_gap(p, q, beta, h, s_split, cells)
-
-    glo, ghi = gap(lo), gap(hi)
-    if not (glo < 0 < ghi):
-        raise NonConvergenceError(
-            f"tie bracket failed at h = {h}: gap({lo}) = {glo}, gap({hi}) = {ghi}")
-    for _ in range(200):
-        if np.isfinite(glo) and np.isfinite(ghi):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if gm > 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-12:
-            return 0.5 * (lo + hi)
-    return float(brentq(gap, lo, hi, xtol=1e-12, rtol=4e-14))
+    out = []
+    for target in values:
+        lam = target = float(target)
+        while getattr(path[-1], param) != target:
+            lam1 = getattr(path[-1], param)
+            x = coords(path[-1])
+            if len(path) > 1:
+                lam0 = getattr(path[-2], param)
+                x = x + (x - coords(path[-2])) * ((lam - lam1) / (lam1 - lam0))
+            h, beta = (lam, x[2]) if param == "h" else (x[2], lam)
+            tie = _tie_newton(p, q, float(h), float(beta), float(x[0]), float(x[1]), free)
+            if tie is None or _beaten(tie, p, q):
+                lam = lam1 + 0.5 * (lam - lam1)
+                if abs(lam - lam1) < MIN_CONTINUATION_STEP:
+                    raise NonConvergenceError(f"curve continuation stalled at {param} = {lam1}")
+                continue
+            path = [path[-1], tie]
+            lam = target
+        out.append(path[-1])
+    return out
 
 
 def critical_curve(p: int, q: int, n_samples: int,
                    beta_c: float | None = None,
-                   special: SpecialPoint | None = None,
-                   cells: int = 1024) -> list:
+                   special: SpecialPoint | None = None) -> list:
     """Samples of the strongly-critical curve beta = phi(h), h on a uniform
-    grid over [0, h_tilde).
+    grid over [0, h_tilde), traced by ``trace_critical_curve``.
 
-    Empty when the special point sits on the axis (q = 2, p <= 4).  Each
-    sample solves the tie equation f(s_high) = f(s_low) in beta (the gap is
-    strictly increasing in beta); brackets are warm-started from the previous
-    sample since phi is strictly decreasing.
+    Empty when the special point sits on the axis (q = 2, p <= 4).
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -530,37 +581,8 @@ def critical_curve(p: int, q: int, n_samples: int,
         special = compute_special_point(p, q)
     if special.h_tilde <= 0:
         return []
-    if beta_c is None:
-        beta_c = compute_beta_c(p, q)
-
-    h_grid = special.h_tilde * np.arange(n_samples) / n_samples
-    samples = []
-    prev_beta = None
-    for h in h_grid:
-        h = float(h)
-        if prev_beta is None:
-            # phi maps into (beta_tilde, beta_c]; staying near beta_c keeps the
-            # ordered maximizer away from the simplex-boundary guard
-            lo, hi = special.beta_tilde, beta_c * (1.0 + 1e-3) + 1e-6
-        else:
-            # phi is decreasing: the previous beta is an upper bracket
-            hi = prev_beta
-            width = max(1e-4, 1e-3 * prev_beta)
-            lo = hi - width
-            while _tie_gap(p, q, lo, h, special.s_pq, cells) > 0:
-                width *= 4.0
-                lo = hi - width
-                if lo <= special.beta_tilde:
-                    lo = special.beta_tilde
-                    break
-        beta = _solve_tie(p, q, h, lo, hi, special.s_pq, cells)
-        maxima = _local_maxima_fast(ModelSpec(p, q, beta, h), cells)
-        if len(maxima) < 2:
-            raise NonConvergenceError(f"lost a maximizer branch at h = {h}")
-        samples.append(CriticalCurveSample(
-            h=h, beta=beta, s_low=maxima[0][0], s_high=maxima[-1][0]))
-        prev_beta = beta
-    return samples
+    return trace_critical_curve(p, q, "h", special.h_tilde * np.arange(n_samples) / n_samples,
+                                beta_c)
 
 
 def phase_diagram(p: int, q: int, beta_range, h_range, resolution,

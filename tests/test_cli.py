@@ -1,12 +1,17 @@
 """CLI contract: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tensorpotts.cli import main
 from tensorpotts.errors import NonConvergenceError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +213,53 @@ class TestExitCodes:
         monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args",
                             lambda self, argv=None: args)
         assert cli.main(["landmarks", "--p", "4", "--q", "2"]) == 3
+
+
+def _modules_after(commands):
+    """Run CLI commands in a fresh interpreter; return its sys.modules names."""
+    script = (
+        "import json, sys\n"
+        "from tensorpotts.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "sys.stderr.write(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+class TestImports:
+    def test_phase_commands_load_no_scipy(self, tmp_path):
+        loaded = _modules_after([
+            ["landmarks", "--p", "7", "--q", "5"],
+            ["classify", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67"],
+            ["curve", "--p", "4", "--q", "3", "--samples", "8", "--out", str(tmp_path / "c.csv")],
+            ["phase-diagram", "--p", "4", "--q", "2", "--beta-min", "0.3", "--beta-max", "1.2",
+             "--h-max", "0.5", "--resolution", "5", "--samples", "4",
+             "--out", str(tmp_path / "g.csv")],
+        ])
+        assert "tensorpotts.phase" in loaded
+        assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+    def test_exact_and_estimate_skip_scipy_integrate(self):
+        loaded = _modules_after([
+            ["exact", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67", "--N", "30"],
+            ["estimate", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67",
+             "--param", "h", "--N", "60", "--simulate"],
+        ])
+        assert "tensorpotts.inference" in loaded
+        assert "scipy.integrate" not in loaded
+        assert "tensorpotts.laws" not in loaded
+
+    def test_every_public_name_imports(self):
+        import tensorpotts
+
+        assert len(tensorpotts.__all__) == len(set(tensorpotts.__all__))
+        for name in tensorpotts.__all__:
+            namespace = {}
+            exec(f"from tensorpotts import {name}", namespace)
+            assert namespace[name] is getattr(tensorpotts, name)
+        with pytest.raises(AttributeError):
+            tensorpotts.no_such_name

@@ -20,6 +20,7 @@ from tensorpotts import (
     x_of_s,
 )
 from tensorpotts.errors import ClassificationError, DomainError, ShapeError
+from tensorpotts.model import f_beta_deriv
 
 from conftest import central_difference, mp_free_energy, rng
 
@@ -169,6 +170,21 @@ class TestFDeriv:
             spec = ModelSpec(7, q, 0.5, 0.0)
             assert f_deriv(spec, 0.0, 1) == 0.0
             assert float(np.atleast_1d(f_deriv(spec, np.array([0.0]), 1))[0]) == 0.0
+
+    def test_beta_derivative_is_the_polynomial_part(self):
+        # f is affine in beta, so a difference quotient in beta is exact up to
+        # rounding; the order-1 value at s = 0 cancels exactly like f'(0)
+        gen = rng(11)
+        for _ in range(30):
+            p, q = int(gen.integers(2, 8)), int(gen.integers(2, 7))
+            b0, b1, h = (float(v) for v in gen.uniform(0.0, 2.0, 3))
+            s = np.array([0.0, float(gen.uniform(0.0, 0.95)), 0.95])
+            for n in range(7):
+                quotient = (f_deriv(ModelSpec(p, q, b1, h), s, n)
+                            - f_deriv(ModelSpec(p, q, b0, h), s, n)) / (b1 - b0)
+                got = f_beta_deriv(ModelSpec(p, q, b0, h), s, n)
+                assert np.allclose(got, quotient, rtol=1e-8, atol=1e-8), (p, q, n)
+            assert f_beta_deriv(ModelSpec(p, q, b0, h), 0.0, 1) == 0.0
 
     def test_curvature_is_field_free(self):
         # h enters f only affinely, so every derivative of order >= 2 is

@@ -8,6 +8,8 @@ classification tolerances sized to that rounding.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorpotts import (
     ModelSpec,
@@ -22,12 +24,20 @@ from tensorpotts import (
     global_maximizers_1d,
     phase_diagram,
 )
-from tensorpotts.phase import CriticalCurveSample, curve_to_csv, _sup_f2
+from tensorpotts.inference import critical_slice_beta, critical_slice_h
+from tensorpotts.phase import (
+    TIE_TOL,
+    CriticalCurveSample,
+    _beaten,
+    curve_to_csv,
+    trace_critical_curve,
+)
 
 from conftest import grid_argmax_f, rng
 
 FIGURE_TIE_TOL = 1e-4  # absorbs 3-decimal rounding of the published points
 FIGURE_CLASS_TOL = 1e-2
+DENSE_GRID = np.linspace(0.0, 1.0 - 1e-9, 200_001)
 
 
 class TestStationaryPoints:
@@ -210,7 +220,8 @@ class TestLandmarks:
         assert abs(f_deriv(spec, sp.s_pq, 2)) < 1e-7
 
     def test_sup_f2_increasing_in_beta(self):
-        sups = [_sup_f2(ModelSpec(7, 5, b, 0.0))[0] for b in np.linspace(0.1, 2.0, 8)]
+        s = np.linspace(0.0, 1.0 - 1e-9, 400_001)
+        sups = [f_deriv(ModelSpec(7, 5, b, 0.0), s, 2).max() for b in np.linspace(0.1, 2.0, 8)]
         assert np.all(np.diff(sups) > 0)
 
     def test_beta_c_large_p_approaches_log_q(self):
@@ -252,11 +263,7 @@ class TestCriticalCurve:
 
     def test_figure_point_on_curve(self):
         # phi(0.2) for (4, 3) rounds to the published 0.965
-        bc = compute_beta_c(4, 3)
-        sp = compute_special_point(4, 3)
-        from tensorpotts.phase import _solve_tie
-
-        beta = _solve_tie(4, 3, 0.2, sp.beta_tilde, bc * 1.001 + 1e-6, sp.s_pq)
+        beta = critical_slice_beta(4, 3, 0.2)[0]
         assert beta == pytest.approx(0.965, abs=5e-4)
 
     def test_csv_schema(self, tmp_path):
@@ -277,3 +284,182 @@ class TestPhaseDiagram:
         assert "Regular" in tags
         assert diagram.beta_c == pytest.approx(2 / 3, abs=1e-8)
         assert diagram.curve == []
+
+
+class TestCandidateRule:
+    """Strong coupling at h = 0: s = 0 is a local minimum, the maximizer sits
+    in the boundary guard, and the point is weakly critical."""
+
+    @pytest.mark.parametrize("p, q, beta", [(4, 3, 10.0), (2, 3, 50.0), (3, 2, 40.0)])
+    def test_strong_coupling_weakly_critical(self, p, q, beta):
+        pc = classify_point(ModelSpec(p, q, beta, 0.0))
+        assert pc.tag is PointTag.WEAKLY_CRITICAL
+        assert len(pc.witness.s_values) == 1 and pc.witness.s_values[0] > 0.5
+        assert len(pc.witness.vectors) == q
+
+    def test_degenerate_maxima_kept(self):
+        # f'' = 0 at the special maximizers: the scan's f' signs keep them
+        # (f' is cubic there, so the polished root is good to ~1e-5 only)
+        for p, q in ((4, 2), (2, 2), (4, 3)):
+            sp = compute_special_point(p, q)
+            winners = global_maximizers_1d(ModelSpec(p, q, sp.beta_tilde, sp.h_tilde))
+            assert [w.s for w in winners] == pytest.approx([sp.s_pq], abs=1e-4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(2, 8), q=st.integers(2, 7),
+           beta=st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0)),
+           h=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    def test_reported_maximizers_reach_dense_grid_max(self, p, q, beta, h):
+        spec = ModelSpec(p, q, beta, h)
+        pc = classify_point(spec)
+        best = float(np.max(f_deriv(spec, DENSE_GRID, 0)))
+        assert min(pc.f_values) >= best - TIE_TOL
+        assert pc.witness.s_values == tuple(
+            pt.s for pt in global_maximizers_1d(spec))
+
+
+# Landmarks, curve samples and slices from the bisection and Brent solvers
+# that Newton continuation replaced (beta_c: bisection to 1e-10; special
+# point: bisection on sup f'' to 1e-10 and a golden-section argmax; curve and
+# T(h): brentq to 1e-12; S(beta): bisection in h to 1e-10).
+BISECTION_LANDMARKS = {
+    # (p, q): (beta_c, beta_tilde, h_tilde, s_pq, type)
+    (2, 2): (1.0000000000291038, 0.9999999999708962, 0.0, 0.0, "I"),
+    (3, 2): (0.6666666666569654, 0.6666666666569654, 0.0, 0.0, "I"),
+    (4, 2): (0.6666666666569654, 0.6666666666569654, 0.0, 0.0, "II"),
+    (5, 2): (0.6941014051844832, 0.6000000000058208, 0.16225735853436318, 0.5773502664076833, "I"),
+    (2, 3): (1.3862943611165974, 1.3333333333430346, 0.026480513888428092, 0.24999999564070646, "I"),
+    (4, 3): (1.111412010533968, 0.7788818023109343, 0.4834744456250928, 0.6139032821069477, "I"),
+    (4, 4): (1.395583139063092, 0.7868492795096245, 0.8712376586828023, 0.6638731127641426, "I"),
+    (6, 4): (1.3869078991410788, 0.4976607230200898, 1.508059683007093, 0.7777719260754712, "I"),
+    (3, 6): (1.8179433562036138, 1.102614772011293, 0.8471306178946658, 0.5919216889389687, "I"),
+    (7, 5): (1.6094896507856902, 0.42027104875887744, 2.0113872064240477, 0.8214285472960225, "I"),
+}
+
+BISECTION_CURVES = {
+    # critical_curve(p, q, 20): (h, beta, s_low, s_high)
+    (4, 3): [
+        (0.0, 1.1114120105312322, 0.0, 0.9461685675202991),
+        (0.02417372228125464, 1.0930638020312557, 0.01616805129056571, 0.9422108364351726),
+        (0.04834744456250928, 1.0748973706627034, 0.03284406154406156, 0.9379396052265896),
+        (0.07252116684376392, 1.0569128885112802, 0.05005935139052231, 0.9333234181684577),
+        (0.09669488912501856, 1.039110456101757, 0.06785000565345917, 0.9283261661223711),
+        (0.12086861140627318, 1.0214901054712398, 0.08625790079024567, 0.9229060673141734),
+        (0.14504233368752784, 1.0040518032529588, 0.10533204026815207, 0.9170143394160915),
+        (0.16921605596878248, 0.9867954537517806, 0.12513032104823368, 0.9105934398026764),
+        (0.19338977825003711, 0.9697209019946575, 0.14572191715540805, 0.9035746880488217),
+        (0.21756350053129175, 0.9528279367411813, 0.16719056932093387, 0.8958749817349249),
+        (0.24173722281254637, 0.9361162934418047, 0.18963924485183484, 0.8873921414598227),
+        (0.26591094509380103, 0.9195856571305202, 0.21319694255420021, 0.8779981102884693),
+        (0.29008466737505567, 0.9032356652473101, 0.23802899652857817, 0.8675286538795336),
+        (0.3142583896563103, 0.8870659103769147, 0.26435337766702793, 0.8557670625138788),
+        (0.33843211193756495, 0.8710759429018755, 0.2924679264983653, 0.8424169214393886),
+        (0.3626058342188196, 0.8552652735639124, 0.32279912236406605, 0.8270533446053479),
+        (0.38677955650007423, 0.8396333759277099, 0.35599786636684166, 0.8090271943903578),
+        (0.4109532787813289, 0.8241796887496646, 0.3931536326430753, 0.7872509328394566),
+        (0.4351270010625835, 0.8089036182446532, 0.4363785329924186, 0.7596145594102988),
+        (0.45930072334383815, 0.793804540253628, 0.4910935820701039, 0.7206993480797831),
+    ],
+    (7, 5): [
+        (0.0, 1.6094896507915215, 0.0, 0.9999358040094319),
+        (0.10056936032120238, 1.5298286717913883, 0.020828444176069234, 0.9998984331855355),
+        (0.20113872064240476, 1.4518781213513574, 0.042923349047967796, 0.9998410984194493),
+        (0.30170808096360713, 1.375732379111338, 0.06629936553411027, 0.9997542608171855),
+        (0.4022774412848095, 1.301483527989613, 0.09096764049396447, 0.9996244482275604),
+        (0.5028468016060119, 1.2292200742533521, 0.11693791250154478, 0.9994329189153413),
+        (0.6034161619272143, 1.159025636525968, 0.1442213921797766, 0.9991539591179188),
+        (0.7039855222484167, 1.0909776536709448, 0.1728344659406155, 0.9987527095012969),
+        (0.804554882569619, 1.025146165331837, 0.20280328093197436, 0.9981823555206384),
+        (0.9051242428908214, 0.9615927177461937, 0.2341693487582822, 0.9973804107855638),
+        (1.0056936032120238, 0.9003694410508978, 0.2669964850945159, 0.9962636372514533),
+        (1.1062629635332262, 0.8415183333916951, 0.3013797468054162, 0.9947208167085931),
+        (1.2068323238544285, 0.785070773291123, 0.3374576685470699, 0.9926019791258738),
+        (1.3074016841756309, 0.7310472668962935, 0.3754303346726415, 0.989701499517332),
+        (1.4079710444968334, 0.6794574228575148, 0.4155883867002072, 0.9857299506123943),
+        (1.5085404048180358, 0.6303001361773126, 0.45836396334979024, 0.9802637353178908),
+        (1.609109765139238, 0.5835639542583373, 0.5044299504799284, 0.9726461658058264),
+        (1.7096791254604404, 0.5392275937511524, 0.5549212764952898, 0.9617663100394758),
+        (1.8102484857816428, 0.49726057530871304, 0.6120378864255066, 0.9454560317493966),
+        (1.910817846102845, 0.45762394436411025, 0.6814036532117062, 0.9181310206645182),
+    ],
+}
+
+# S(beta) and T(h): (p, q, argument, slice point)
+BISECTION_S = [(4, 3, 0.8, 0.449347500870826), (4, 3, 1.0, 0.1506955136871199),
+               (7, 5, 0.6, 1.573145852692012), (7, 5, 1.4, 0.2693892349885475)]
+BISECTION_T = [(4, 3, 0.1, 1.0366905982878356), (4, 3, 0.4, 0.8311598168668065),
+               (7, 5, 0.5, 1.2312375511444886), (7, 5, 1.9, 0.46177699754012586)]
+
+
+class TestAgainstBisectionSolvers:
+    @pytest.mark.parametrize("pq", sorted(BISECTION_LANDMARKS))
+    def test_landmarks(self, pq):
+        beta_c, beta_tilde, h_tilde, s_pq, kind = BISECTION_LANDMARKS[pq]
+        sp = compute_special_point(*pq)
+        assert abs(compute_beta_c(*pq) - beta_c) <= 1e-9
+        assert abs(sp.beta_tilde - beta_tilde) <= 1e-9
+        assert abs(sp.h_tilde - h_tilde) <= 1e-9
+        assert sp.type == kind
+        # the golden-section argmax of the flat sup of f'' was good to ~1e-8
+        # only; Newton on f''' = 0 pins s_pq to rounding (checked below)
+        assert abs(sp.s_pq - s_pq) <= 1e-8
+
+    def test_special_maximizer_solves_f3(self):
+        for pq in BISECTION_LANDMARKS:
+            sp = compute_special_point(*pq)
+            spec = ModelSpec(*pq, sp.beta_tilde, sp.h_tilde)
+            assert abs(f_deriv(spec, sp.s_pq, 1)) <= 1e-12
+            assert abs(f_deriv(spec, sp.s_pq, 2)) <= 1e-12
+            assert abs(f_deriv(spec, sp.s_pq, 3)) <= 1e-12
+
+    def test_q2_closed_forms(self):
+        for p in (2, 3, 4):
+            closed = 2 ** (p - 1) / (p * (p - 1))
+            assert abs(compute_beta_c(p, 2) - closed) <= 1e-10
+            assert abs(compute_special_point(p, 2).beta_tilde - closed) <= 1e-10
+
+    @pytest.mark.parametrize("pq", sorted(BISECTION_CURVES))
+    def test_curve_samples(self, pq):
+        curve = critical_curve(*pq, 20)
+        assert curve[0].s_low == 0.0
+        got = np.array([(c.h, c.beta, c.s_low, c.s_high) for c in curve])
+        assert np.max(np.abs(got - np.array(BISECTION_CURVES[pq]))) <= 1e-9
+
+    def test_slices(self):
+        for p, q, beta, h in BISECTION_S:
+            assert abs(critical_slice_h(p, q, beta)[0] - h) <= 1e-9
+        for p, q, h, beta in BISECTION_T:
+            assert abs(critical_slice_beta(p, q, h)[0] - beta) <= 1e-9
+
+
+class TestContinuationInvariants:
+    # up to q = 5 at p = 7 the h = 0 maximizer stays >= 6e-5 from the guard;
+    # closer to it one ulp of s moves f' by more than 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 7), q=st.integers(2, 5), frac=st.floats(0.0, 0.999, exclude_max=True),
+           by_beta=st.booleans())
+    def test_tie_invariants(self, p, q, frac, by_beta):
+        assume(not (q == 2 and p <= 4))
+        bc = compute_beta_c(p, q)
+        sp = compute_special_point(p, q)
+        if by_beta:
+            c = trace_critical_curve(p, q, "beta", [bc - frac * (bc - sp.beta_tilde)])[0]
+        else:
+            c = trace_critical_curve(p, q, "h", [frac * sp.h_tilde])[0]
+        spec = ModelSpec(p, q, c.beta, c.h)
+        assert abs(f_deriv(spec, c.s_low, 1)) <= 1e-12
+        assert abs(f_deriv(spec, c.s_high, 1)) <= 1e-12
+        f_tie = f_deriv(spec, c.s_high, 0)
+        assert abs(f_tie - f_deriv(spec, c.s_low, 0)) <= 1e-12
+        assert c.s_low < c.s_high
+        assert float(np.max(f_deriv(spec, DENSE_GRID, 0))) <= f_tie + TIE_TOL
+        if c.h == 0.0:
+            assert c.s_low == 0.0
+
+    def test_certificate_flags_a_higher_third_maximum(self):
+        c = trace_critical_curve(4, 3, "h", [0.2])[0]
+        assert not _beaten(c, 4, 3)
+        # at a larger beta the high branch beats the low one by far more than
+        # TIE_TOL; a claimed tie that skips it must be rejected
+        fake = CriticalCurveSample(h=0.2, beta=c.beta + 0.05, s_low=c.s_low, s_high=c.s_low + 0.01)
+        assert _beaten(fake, 4, 3)
