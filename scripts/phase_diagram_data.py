@@ -17,7 +17,7 @@ def emit(p, q, beta_max, h_max, resolution, curve_samples, outdir):
     tag = f"p{p}_q{q}"
     bc = tp.compute_beta_c(p, q)
     sp = tp.compute_special_point(p, q)
-    curve = tp.critical_curve(p, q, curve_samples, beta_c=bc, special=sp)
+    curve = tp.critical_curve(p, q, curve_samples, special=sp)
     diagram = tp.phase_diagram(p, q, (1e-3, beta_max), (0.0, h_max), resolution,
                                curve_samples=max(curve_samples // 4, 8) if curve else 8)
 

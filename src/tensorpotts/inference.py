@@ -35,7 +35,6 @@ from .phase import (
     PointTag,
     SpecialPoint,
     classify_point,
-    compute_beta_c,
     compute_special_point,
     trace_critical_curve,
 )
@@ -264,26 +263,29 @@ def critical_slice_h(p: int, q: int, beta: float,
 
     At most one point: h = 0 for beta >= beta_c, the curve height phi^{-1}(beta)
     for beta_tilde <= beta < beta_c, nothing below beta_tilde.  The curve
-    height comes from Newton continuation in beta from (beta_c, 0).
+    height comes from Newton continuation in beta from (beta_c, 0), which
+    returns that start for beta >= beta_c, so ``beta_c`` is optional.
     """
-    if beta_c is None:
-        beta_c = compute_beta_c(p, q)
-    if beta >= beta_c - 1e-12:
+    if beta_c is not None and beta >= beta_c - 1e-12:
         return [0.0]
     if special is None:
         special = compute_special_point(p, q)
-    if special.h_tilde <= 0 or beta < special.beta_tilde - 1e-12:
+    if special.h_tilde <= 0:
+        # continuous transition: the special point is (beta_c, 0)
+        return [0.0] if beta >= special.beta_tilde - 1e-12 else []
+    if beta < special.beta_tilde - 1e-12:
         return []
     if abs(beta - special.beta_tilde) <= 1e-12:
         return [special.h_tilde]
-    return [trace_critical_curve(p, q, "beta", [beta], beta_c)[0].h]
+    return [trace_critical_curve(p, q, "beta", [beta])[0].h]
 
 
 def critical_slice_beta(p: int, q: int, h: float,
                         beta_c: float | None = None,
                         special: SpecialPoint | None = None) -> list:
     """T(h) for h != 0: the beta with (beta, h) in the critical-set closure,
-    by Newton continuation in h from (beta_c, 0)."""
+    by Newton continuation in h from (beta_c, 0).  ``beta_c`` is unused: it
+    keeps the signature of ``critical_slice_h``."""
     if h == 0.0:
         raise DomainError("T(h) is defined for h != 0")
     if special is None:
@@ -292,7 +294,7 @@ def critical_slice_beta(p: int, q: int, h: float,
         return []
     if abs(h - special.h_tilde) <= 1e-12:
         return [special.beta_tilde]
-    return [trace_critical_curve(p, q, "h", [h], beta_c)[0].beta]
+    return [trace_critical_curve(p, q, "h", [h])[0].beta]
 
 
 def augment_ci(cs: ConfidenceSet, slice_points) -> ConfidenceSet:

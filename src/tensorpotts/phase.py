@@ -152,8 +152,8 @@ SIGN_NOISE_FLOOR = 1e-13
 
 # Newton on the landmark and tie systems stops once a step is below
 # NEWTON_STEP_TOL (relative to max(1, |x|)), the residuals are at rounding
-# level (1e-15), or after NEWTON_MAX_STEPS; the residuals then decide.  Continuation gives up once halving has cut the
-# parameter step below MIN_CONTINUATION_STEP.
+# level (1e-15), or after NEWTON_MAX_STEPS; the residuals then decide.
+# Continuation gives up once halving has cut the step below MIN_CONTINUATION_STEP.
 NEWTON_MAX_STEPS = 30
 NEWTON_STEP_TOL = 1e-13
 MIN_CONTINUATION_STEP = 1e-9
@@ -272,12 +272,7 @@ def _maximizer_candidates(spec: ModelSpec) -> list:
 
 
 def global_maximizers_1d(spec: ModelSpec, tie_tol: float = TIE_TOL) -> list:
-    """Maximizer candidates achieving the maximum of f within tie_tol (one or two).
-
-    At extreme parameters the maximizer can sit inside the boundary guard
-    (s > 1 - 1e-9, where f' is still positive at the guard); the guard edge
-    is then reported as the maximizer.
-    """
+    """The ``_maximizer_candidates`` within tie_tol of the largest f (one or two)."""
     if tie_tol <= 0:
         raise DomainError("tie_tol must be positive")
     pts = _maximizer_candidates(spec)
@@ -317,12 +312,8 @@ def _maximizer_set(spec: ModelSpec, winners) -> MaximizerSet:
     pnorm = np.array([np.sum(v ** spec.p) for v in vectors])
     order_first = tuple(int(i) for i in np.argsort(first, kind="stable"))
     order_pnorm = tuple(int(i) for i in np.argsort(pnorm, kind="stable"))
-    return MaximizerSet(
-        s_values=tuple(pt.s for pt in winners),
-        vectors=tuple(vectors),
-        ordering_by_first_coord=order_first,
-        ordering_by_p_norm=order_pnorm,
-    )
+    return MaximizerSet(s_values=tuple(pt.s for pt in winners), vectors=tuple(vectors),
+                        ordering_by_first_coord=order_first, ordering_by_p_norm=order_pnorm)
 
 
 def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
@@ -446,15 +437,14 @@ def _beaten(tie: CriticalCurveSample, p: int, q: int) -> bool:
     return bool(np.any(peaks[far] > f_top + TIE_TOL))
 
 
-def _axis_tie(p: int, q: int, beta: float | None = None):
+def _axis_tie(p: int, q: int):
     """The h = 0 tie f(s_c) = f(0) at beta_c, as a curve sample with s_low = 0.
 
     f_beta(s) - f_beta(0) = beta (P(s) - P(0)) - (E(0) - E(s)) with P = sum
     x_r^p and E the entropy, so s > 0 first ties at beta = min C(s), C =
     (E(0) - E(s)) / (P(s) - P(0)).  One vectorised scan of C seeds Newton in
-    (s, beta) (started at ``beta`` when given) and certifies the result: no
-    grid point ties at a smaller beta.  None for a continuous transition,
-    where C(0+) = ``_axis_beta`` is the minimum.
+    (s, beta) and certifies the result: no grid point ties at a smaller beta.
+    None for a continuous transition, where C(0+) = ``_axis_beta`` is the minimum.
     """
     ent = ModelSpec(p, q, 0.0, 0.0)
     s = _GRID[1:]
@@ -464,8 +454,7 @@ def _axis_tie(p: int, q: int, beta: float | None = None):
     # cancellation in C near s = 0 stays far below this margin
     if c[i] >= _axis_beta(p, q) * (1.0 - 1e-6):
         return None
-    tie = _tie_newton(p, q, 0.0, float(c[i]) if beta is None else beta,
-                      0.0, float(s[i]), "beta")
+    tie = _tie_newton(p, q, 0.0, float(c[i]), 0.0, float(s[i]), "beta")
     if tie is None and i == len(s) - 1:
         # the ordered maximizer sits inside the boundary guard: the edge stands in
         return CriticalCurveSample(h=0.0, beta=float(c[i]), s_low=0.0, s_high=float(s[i]))
@@ -491,8 +480,9 @@ def compute_special_point(p: int, q: int) -> SpecialPoint:
 
     f'' is free of h and affine in beta, beta P2(s) + E2(s) with P2 > 0, so
     beta_tilde (where sup_s f'' reaches 0) is min B(s), B = -E2/P2, at s_pq.
-    One vectorised scan of B seeds Newton on f'' = f''' = 0 in (beta, s) and
-    certifies the result; a minimum at s = 0 (q = 2, p <= 4) is the closed
+    One vectorised scan of B seeds Newton on f'' = f''' = 0 in (beta, s); the
+    result must meet both to STATIONARY_TOL and lie at or below the scan
+    minimum.  A minimum at s = 0 (q = 2, p <= 4) is the closed
     form ``_axis_beta``.  h_tilde is the k' difference making s_pq stationary.
     """
     ent = ModelSpec(p, q, 0.0, 0.0)
@@ -511,7 +501,11 @@ def compute_special_point(p: int, q: int) -> SpecialPoint:
             beta, s = beta + d_beta, s + d_s
             if not 0.0 < s < 1.0 - BOUNDARY_DELTA or max(abs(d_beta), abs(d_s)) <= NEWTON_STEP_TOL:
                 break
-        if not (0.0 < s < 1.0 - BOUNDARY_DELTA and beta <= b_scan[i] * (1.0 + 1e-10)):
+        spec = ModelSpec(p, q, beta, 0.0)
+        # one ulp of s moves f''' by ~1e-16 |f''''|, as in _tie_newton
+        if not (0.0 < s < 1.0 - BOUNDARY_DELTA and beta <= b_scan[i] * (1.0 + 1e-10)
+                and abs(f_deriv(spec, s, 2)) <= STATIONARY_TOL
+                and abs(f_deriv(spec, s, 3)) <= STATIONARY_TOL + 1e-15 * abs(f_deriv(spec, s, 4))):
             raise NonConvergenceError(f"the special point of ({p}, {q}) did not converge")
     spec0 = ModelSpec(p, q, beta, 0.0)
     h_tilde = k_deriv(spec0, (1.0 - s) / q, 1) - k_deriv(spec0, (1.0 + (q - 1.0) * s) / q, 1)
@@ -524,23 +518,24 @@ def compute_special_point(p: int, q: int) -> SpecialPoint:
     return SpecialPoint(beta_tilde=beta, h_tilde=h_tilde, s_pq=s, type=kind)
 
 
-def trace_critical_curve(p: int, q: int, param: str, values,
-                         beta_c: float | None = None) -> list:
+def trace_critical_curve(p: int, q: int, param: str, values) -> list:
     """Curve samples at the given ``values`` of ``param`` ("h", solving for
     beta, or "beta", solving for h), moving monotonically away from the axis.
 
-    Natural-parameter continuation from the h = 0 tie at beta_c (``beta_c``,
-    when given, starts that solve): a secant predictor through the last two
-    accepted points, the Newton corrector ``_tie_newton`` and the ``_beaten``
-    certificate.  When the corrector or the certificate fails, the step is
-    halved.  Callers keep h in [0, h_tilde) or beta in (beta_tilde, beta_c].
+    Natural-parameter continuation from the h = 0 tie at beta_c: a secant
+    predictor through the last two accepted points, the Newton corrector
+    ``_tie_newton`` and the ``_beaten`` certificate.  When the corrector or
+    the certificate fails, the step is halved.  Callers keep h in
+    [0, h_tilde) or beta above beta_tilde; a beta at or above beta_c (within
+    1e-12) gives the h = 0 tie itself.
     """
     if param not in ("h", "beta"):
         raise DomainError(f"param must be 'h' or 'beta', got {param!r}")
-    path = [_axis_tie(p, q, beta_c)]
-    if path[0] is None:
+    axis = _axis_tie(p, q)
+    if axis is None:
         raise DomainError(f"({p}, {q}) has a continuous transition and no critical curve")
     free = "beta" if param == "h" else "h"
+    path = [axis]
 
     def coords(tie):
         return np.array([tie.s_low, tie.s_high, getattr(tie, free)])
@@ -548,6 +543,9 @@ def trace_critical_curve(p: int, q: int, param: str, values,
     out = []
     for target in values:
         lam = target = float(target)
+        if param == "beta" and target >= axis.beta - 1e-12:
+            out.append(axis)
+            continue
         while getattr(path[-1], param) != target:
             lam1 = getattr(path[-1], param)
             x = coords(path[-1])
@@ -568,7 +566,6 @@ def trace_critical_curve(p: int, q: int, param: str, values,
 
 
 def critical_curve(p: int, q: int, n_samples: int,
-                   beta_c: float | None = None,
                    special: SpecialPoint | None = None) -> list:
     """Samples of the strongly-critical curve beta = phi(h), h on a uniform
     grid over [0, h_tilde), traced by ``trace_critical_curve``.
@@ -581,8 +578,7 @@ def critical_curve(p: int, q: int, n_samples: int,
         special = compute_special_point(p, q)
     if special.h_tilde <= 0:
         return []
-    return trace_critical_curve(p, q, "h", special.h_tilde * np.arange(n_samples) / n_samples,
-                                beta_c)
+    return trace_critical_curve(p, q, "h", special.h_tilde * np.arange(n_samples) / n_samples)
 
 
 def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
@@ -605,7 +601,7 @@ def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
             tags[i, j] = classify_point(ModelSpec(p, q, float(b), float(h)), tol_class).tag
     special = compute_special_point(p, q)
     bc = compute_beta_c(p, q)
-    curve = critical_curve(p, q, curve_samples, beta_c=bc, special=special)
+    curve = critical_curve(p, q, curve_samples, special=special)
     return PhaseDiagram(p=p, q=q, beta_values=betas, h_values=hs, tags=tags,
                         beta_c=bc, special=special, curve=curve)
 

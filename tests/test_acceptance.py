@@ -56,7 +56,7 @@ def test_criterion_2_phase_structure_7_5():
     t0 = time.time()
     bc = tp.compute_beta_c(7, 5)
     sp = tp.compute_special_point(7, 5)
-    curve = tp.critical_curve(7, 5, 2000, beta_c=bc, special=sp)
+    curve = tp.critical_curve(7, 5, 2000, special=sp)
     betas = np.array([c.beta for c in curve])
     ok = (np.isfinite(bc) and bc > 0
           and sp.h_tilde > 0 and sp.type == "I"

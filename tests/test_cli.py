@@ -263,3 +263,10 @@ class TestImports:
             assert namespace[name] is getattr(tensorpotts, name)
         with pytest.raises(AttributeError):
             tensorpotts.no_such_name
+
+    def test_dir_lists_public_names(self):
+        import tensorpotts
+
+        listed = dir(tensorpotts)
+        assert set(tensorpotts.__all__) <= set(listed)
+        assert {"phase", "inference", "__version__"} <= set(listed)

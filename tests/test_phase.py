@@ -24,6 +24,8 @@ from tensorpotts import (
     global_maximizers_1d,
     phase_diagram,
 )
+from tensorpotts import phase
+from tensorpotts.errors import NonConvergenceError
 from tensorpotts.inference import critical_slice_beta, critical_slice_h
 from tensorpotts.phase import (
     TIE_TOL,
@@ -251,7 +253,7 @@ class TestCriticalCurve:
     def test_curve_4_3(self):
         bc = compute_beta_c(4, 3)
         sp = compute_special_point(4, 3)
-        curve = critical_curve(4, 3, 60, beta_c=bc, special=sp)
+        curve = critical_curve(4, 3, 60, special=sp)
         assert len(curve) == 60
         betas = np.array([c.beta for c in curve])
         assert betas[0] == pytest.approx(bc, abs=1e-8)
@@ -412,6 +414,13 @@ class TestAgainstBisectionSolvers:
             assert abs(f_deriv(spec, sp.s_pq, 2)) <= 1e-12
             assert abs(f_deriv(spec, sp.s_pq, 3)) <= 1e-12
 
+    def test_special_point_rejects_unconverged_newton(self, monkeypatch):
+        # one Newton step from the scan seed leaves f'' and f''' far above
+        # STATIONARY_TOL: the residual check must refuse the result
+        monkeypatch.setattr(phase, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NonConvergenceError):
+            compute_special_point(7, 5)
+
     def test_q2_closed_forms(self):
         for p in (2, 3, 4):
             closed = 2 ** (p - 1) / (p * (p - 1))
@@ -430,6 +439,24 @@ class TestAgainstBisectionSolvers:
             assert abs(critical_slice_h(p, q, beta)[0] - h) <= 1e-9
         for p, q, h, beta in BISECTION_T:
             assert abs(critical_slice_beta(p, q, h)[0] - beta) <= 1e-9
+
+    def test_slice_h_scans_the_axis_once(self, monkeypatch):
+        calls = []
+        axis_tie = phase._axis_tie
+
+        def counted(p, q):
+            calls.append((p, q))
+            return axis_tie(p, q)
+
+        monkeypatch.setattr(phase, "_axis_tie", counted)
+        bc = compute_beta_c(4, 3)
+        for beta, expect in ((0.8, 0.449347500870826), (bc, 0.0), (bc + 0.5, 0.0)):
+            calls.clear()
+            assert abs(critical_slice_h(4, 3, beta)[0] - expect) <= 1e-9
+            assert len(calls) == 1
+        assert critical_slice_h(4, 3, 0.5) == []
+        # beta at or above beta_c is the axis start of the continuation
+        assert trace_critical_curve(4, 3, "beta", [bc + 0.5])[0].h == 0.0
 
 
 class TestContinuationInvariants:
