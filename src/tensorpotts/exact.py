@@ -1,4 +1,4 @@
-"""Exact finite-N law of the magnetization by enumeration over color counts.
+"""Exact finite-N law of the magnetization, from per-(p, N) weight tables.
 
 The magnetization vector is a sufficient statistic, so the model law pushes
 forward to the composition space {c in Z_{>=0}^q : sum c = N} with
@@ -6,13 +6,26 @@ unnormalized log-weights
 
     log N! - sum_r log(c_r!) + N * (beta * sum_r (c_r/N)^p + h * c_1/N).
 
-Enumeration is over compositions (C(N+q-1, q-1) states), never over the q^N
-configurations; log-factorials use log-gamma, and all reductions stream over
-composition blocks with a running-max log-sum-exp, so N*H beyond the float
-exponent range is safe.  ``HProfile`` and ``BProfile`` cache the parts of the
-weight that do not depend on h (resp. beta), so each maximum-likelihood
-Newton step is one cheap reweighting that yields the expectation and its
-derivative together.
+Each per-colour term is a lookup in one of three tables over c = 0..N
+(log c!, (c/N)^p, c/N), and three forms of the support share them:
+
+* compositions (C(N+q-1, q-1) of them, never the q^N configurations), in
+  lexicographic blocks built without Python loops over rows.
+  ``magnetization_law`` keeps the full support, which inversion sampling and
+  the marginals need; ``expect_up``, ``expect_functional`` and ``tail_prob``
+  stream over the blocks with a running-max log-sum-exp, so N*H beyond the
+  float exponent range is safe;
+* the colour profile of c_1.  The weight factorises over colours, so the
+  h-free log-mass of c_1 = j is log N! + g(j) + G_{q-1}(N - j), with
+  g(c) = -log c! + beta N (c/N)^p and G_{q-1} the (q-1)-fold log-semiring
+  convolution of g.  ``HProfile``, ``log_partition`` and ``expect_u1``
+  reweight these N+1 values;
+* orbits of colours 2..q, whose permutations leave the weight at fixed h
+  unchanged.  ``BProfile`` keeps one row per orbit (c_2 >= ... >= c_q) and
+  adds the log of the orbit size to its beta-free weight.
+
+So each maximum-likelihood Newton step is one reweighting that yields the
+expectation and its derivative together.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .errors import DomainError, SupportSizeError
@@ -33,6 +47,9 @@ DEFAULT_SUPPORT_CAP = 200_000_000
 
 # Rows per enumeration block.
 BLOCK_ROWS = 1_000_000
+
+# Cells per row block of a log-semiring convolution (2 MB of float64).
+CONV_CELLS = 1 << 18
 
 
 def n_compositions(N: int, q: int) -> int:
@@ -46,38 +63,89 @@ def check_cap(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP) -> int:
     return count
 
 
-def composition_blocks(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP,
-                       block_rows: int = BLOCK_ROWS):
-    """Yield the compositions of N into q parts as int64 blocks, lexicographic."""
+def _check_support(N: int, q: int, cap: int) -> int:
     if N < 1 or q < 2:
         raise DomainError("need N >= 1 and q >= 2")
-    check_cap(N, q, cap)
-    yield from _blocks(N, q, block_rows)
+    return check_cap(N, q, cap)
 
 
-def _blocks(N, q, block_rows):
-    if q == 2:
-        c1 = np.arange(N + 1, dtype=np.int64)
-        yield np.stack([c1, N - c1], axis=1)
-        return
-    buf, rows = [], 0
-    for c1 in range(N + 1):
-        if N - c1 == 0:
-            sub = np.zeros((1, q - 1), dtype=np.int64)
+def _weight_tables(p: int, N: int) -> tuple:
+    """(log c!, (c/N)^p, c/N) for c = 0..N: the per-colour terms of a weight."""
+    c = np.arange(N + 1)
+    x = c / N
+    return gammaln(c + 1), x ** p, x
+
+
+def _log_weights(spec: ModelSpec, N: int, block: np.ndarray, tables: tuple) -> np.ndarray:
+    lgam, xp, x = tables
+    lw = gammaln(N + 1) - lgam[block].sum(axis=1)
+    lw += N * (spec.beta * xp[block].sum(axis=1) + spec.h * x[block[:, 0]])
+    return lw
+
+
+def _ranges(rows: np.ndarray, block_rows: int):
+    """Consecutive index ranges [lo, hi) holding at most ``block_rows`` rows;
+    an index that alone holds more is a range of its own."""
+    ends = np.cumsum(rows)
+    lo = 0
+    while lo < len(rows):
+        limit = ends[lo] - rows[lo] + block_rows
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _n_tails(rest: np.ndarray, parts: int) -> np.ndarray:
+    """Number of compositions of each entry of ``rest`` into ``parts`` parts."""
+    count = np.ones_like(rest)
+    for i in range(1, parts):
+        count = count * (rest + i) // i
+    return count
+
+
+def _spread(cols: list, left: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple:
+    """Expand row i into one row per next count low[i]..high[i], in order.
+
+    Returns the repeated columns with the new count appended, and what is
+    left to place after it.
+    """
+    n = high - low + 1
+    first = np.cumsum(n) - n
+    nxt = np.arange(first[-1] + n[-1]) + np.repeat(low - first, n)
+    return [np.repeat(c, n) for c in cols] + [nxt], np.repeat(left, n) - nxt
+
+
+def _expand(prefix: tuple, lo: int, hi: int, rest: int, parts: int) -> np.ndarray:
+    """The compositions that start with ``prefix`` and go on with a count in
+    [lo, hi), lexicographic; ``rest`` is N minus the prefix sum and ``parts``
+    the number of counts after the prefix."""
+    first = np.arange(lo, hi, dtype=np.int64)
+    cols, left = [np.full_like(first, v) for v in prefix] + [first], rest - first
+    for _ in range(parts - 2):
+        cols, left = _spread(cols, left, np.zeros_like(left), left)
+    return np.stack(cols + [left], axis=1)
+
+
+def composition_blocks(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP,
+                       block_rows: int = BLOCK_ROWS):
+    """Yield the compositions of N into q parts as int64 blocks, lexicographic.
+
+    Each block holds at most ``block_rows`` rows.
+    """
+    _check_support(N, q, cap)
+    yield from _blocks(N, q, (), block_rows)
+
+
+def _blocks(N, q, prefix, block_rows):
+    rest = N - sum(prefix)
+    parts = q - len(prefix)
+    rows = _n_tails(rest - np.arange(rest + 1), parts - 1)
+    for lo, hi in _ranges(rows, block_rows):
+        if rows[lo] > block_rows:
+            # one value of the next count overflows a block: split it by the count after
+            yield from _blocks(N, q, prefix + (lo,), block_rows)
         else:
-            sub = None
-        parts = _blocks(N - c1, q - 1, block_rows) if sub is None else [sub]
-        for sub in parts:
-            block = np.empty((sub.shape[0], q), dtype=np.int64)
-            block[:, 0] = c1
-            block[:, 1:] = sub
-            buf.append(block)
-            rows += block.shape[0]
-            if rows >= block_rows:
-                yield np.concatenate(buf, axis=0)
-                buf, rows = [], 0
-    if buf:
-        yield np.concatenate(buf, axis=0)
+            yield _expand(prefix, lo, hi, rest, parts)
 
 
 def compositions_iter(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP):
@@ -95,81 +163,78 @@ def log_weight(spec: ModelSpec, N: int, counts) -> np.ndarray:
         raise DomainError(f"composition has {block.shape[1]} parts, expected q={spec.q}")
     if np.any(block < 0) or np.any(block.sum(axis=1) != N):
         raise DomainError("composition entries must be >= 0 and sum to N")
-    x = block / N
-    lw = gammaln(N + 1) - gammaln(block + 1).sum(axis=1)
-    lw += N * (spec.beta * np.sum(x ** spec.p, axis=1) + spec.h * x[:, 0])
+    lw = _log_weights(spec, N, block, _weight_tables(spec.p, N))
     return float(lw[0]) if single else lw
 
 
-class _StreamingReducer:
-    """Running-max log-sum-exp of weights with fused weighted statistics."""
+def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[n] = log sum_{j <= n} exp(a[j] + b[n - j]) for n = 0..len(a)-1.
 
-    def __init__(self, n_stats: int):
-        self.max = -np.inf
-        self.z = 0.0
-        self.sums = np.zeros(n_stats)
-
-    def add(self, lw: np.ndarray, stats: np.ndarray | None):
-        m = float(lw.max())
-        if m > self.max:
-            scale = math.exp(self.max - m) if np.isfinite(self.max) else 0.0
-            self.z *= scale
-            self.sums *= scale
-            self.max = m
-        e = np.exp(lw - self.max)
-        self.z += float(e.sum())
-        if stats is not None:
-            self.sums += np.einsum("ij,j->i", stats, e)
-
-    @property
-    def log_sum(self) -> float:
-        return self.max + math.log(self.z)
-
-    @property
-    def means(self) -> np.ndarray:
-        return self.sums / self.z
-
-
-def _fused_expectations(spec: ModelSpec, N: int, stat_fns, cap: int):
-    """One streaming pass: log-partition plus expectations of the given maps.
-
-    Each entry of ``stat_fns`` maps a block of magnetization vectors (rows
-    x = c/N) to a 1-D array of statistic values.
+    Row blocks of at most about ``CONV_CELLS`` cells keep the temporaries
+    bounded at large N; row n reads b[n::-1] as a window of b reversed.
     """
-    red = _StreamingReducer(len(stat_fns))
-    for block in composition_blocks(N, spec.q, cap):
-        lw = log_weight(spec, N, block)
-        if stat_fns:
-            x = block / N
-            stats = np.stack([fn(x) for fn in stat_fns], axis=0)
-        else:
-            stats = None
-        red.add(lw, stats)
-    return red.log_sum, red.means
+    size = len(a)
+    padded = np.concatenate([b[::-1], np.full(size - 1, -np.inf)])
+    windows = sliding_window_view(padded, size)  # windows[size-1-n][j] = b[n-j], -inf for j > n
+    out = np.empty(size)
+    step = max(1, CONV_CELLS // size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        cells = a[:hi] + windows[size - hi:size - lo][::-1, :hi]
+        top = cells.max(axis=1, keepdims=True)
+        cells -= top
+        np.exp(cells, out=cells)
+        out[lo:hi] = top[:, 0] + np.log(cells.sum(axis=1))
+    return out
+
+
+def _c1_log_profile(spec: ModelSpec, N: int, cap: int) -> np.ndarray:
+    """h-free log-mass of c_1 = 0..N: log N! + g(c_1) + G_{q-1}(N - c_1)."""
+    _check_support(N, spec.q, cap)
+    lgam, xp, _ = _weight_tables(spec.p, N)
+    g = spec.beta * N * xp - lgam
+    others = g
+    for _ in range(spec.q - 2):
+        others = _log_convolve(others, g)
+    return gammaln(N + 1) + g + others[::-1]
 
 
 def log_partition(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
     """log of q^N Z_N: the log-sum of exp(log_weight) over all compositions."""
-    logz, _ = _fused_expectations(spec, N, [], cap)
-    return logz
+    lw = _c1_log_profile(spec, N, cap) + spec.h * np.arange(N + 1)
+    top = lw.max()
+    return float(top + math.log(np.exp(lw - top).sum()))
 
 
 def expect_u1(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
     """u_{N,1}: exact expectation of the first magnetization coordinate."""
-    _, means = _fused_expectations(spec, N, [lambda x: x[:, 0]], cap)
-    return float(means[0])
+    return HProfile(spec, N, cap).u1(spec.h)
 
 
 def expect_up(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
     """u_{N,p}: exact expectation of the p-norm statistic sum_r xbar_r^p."""
-    _, means = _fused_expectations(spec, N, [lambda x: np.sum(x ** spec.p, axis=1)], cap)
-    return float(means[0])
+    return expect_functional(spec, N, lambda x: np.sum(x ** spec.p, axis=1), cap)
 
 
 def expect_functional(spec: ModelSpec, N: int, g, cap: int = DEFAULT_SUPPORT_CAP) -> float:
-    """Exact expectation of g(xbar); g maps a block of rows to a 1-D array."""
-    _, means = _fused_expectations(spec, N, [g], cap)
-    return float(means[0])
+    """Exact expectation of g(xbar); g maps a block of rows to a 1-D array.
+
+    One streaming pass over the composition blocks with a running-max
+    log-sum-exp, so N*H beyond the float exponent range is safe.
+    """
+    _check_support(N, spec.q, cap)
+    tables = _weight_tables(spec.p, N)
+    top, z, total = -np.inf, 0.0, 0.0
+    for block in composition_blocks(N, spec.q, cap):
+        lw = _log_weights(spec, N, block, tables)
+        m = float(lw.max())
+        if m > top:
+            scale = math.exp(top - m)
+            z, total, top = z * scale, total * scale, m
+        e = np.exp(lw - top)
+        z += float(e.sum())
+        total += float(np.einsum("i,i", g(tables[2][block]), e))
+    return total / z
 
 
 def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None,
@@ -187,8 +252,7 @@ def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None,
         d2 = ((x[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2).min(axis=1)
         return (d2 >= eps * eps).astype(float)
 
-    _, means = _fused_expectations(spec, N, [far], cap)
-    return float(means[0])
+    return expect_functional(spec, N, far, cap)
 
 
 @dataclass(frozen=True)
@@ -221,9 +285,6 @@ class ExactLaw:
     def mean(self) -> np.ndarray:
         return np.einsum("i,ij->j", self.probs(), self.magnetizations())
 
-    def expect(self, g) -> float:
-        return float(np.einsum("i,i", self.probs(), g(self.magnetizations())))
-
     def save(self, path) -> None:
         """Binary dump: little-endian header (N, q, count as int64) followed by
         count packed records of q int32 counts and one float64 log-prob."""
@@ -255,14 +316,15 @@ class ExactLaw:
 
 def magnetization_law(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> ExactLaw:
     """Materialize the exact law (support + normalized log-probabilities)."""
-    count = check_cap(N, spec.q, cap)
+    count = _check_support(N, spec.q, cap)
+    tables = _weight_tables(spec.p, N)
     support = np.empty((count, spec.q), dtype=np.int64)
     lw = np.empty(count)
     pos = 0
     for block in composition_blocks(N, spec.q, cap):
         m = block.shape[0]
         support[pos:pos + m] = block
-        lw[pos:pos + m] = log_weight(spec, N, block)
+        lw[pos:pos + m] = _log_weights(spec, N, block, tables)
         pos += m
     top = lw.max()
     logz = top + math.log(np.exp(lw - top).sum())
@@ -272,20 +334,15 @@ def magnetization_law(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -
 class HProfile:
     """u_{N,1} and its h-derivative at fixed (p, q, beta, N).
 
-    The field enters the weight only through h * c_1, so the h-free part can
-    be collapsed onto the N+1 values of c_1 once; every subsequent evaluation
-    is an (N+1)-term reweighting.  Exact, not an approximation.
+    The field enters the weight only through h * c_1, so the h-free part is
+    the colour profile of c_1 (q-2 log-semiring convolutions); every
+    evaluation is an (N+1)-term reweighting.  Exact, not an approximation.
     """
 
     def __init__(self, spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP):
         self.spec = spec
         self.N = N
-        L = np.full(N + 1, -np.inf)
-        base_spec = spec.with_params(h=0.0)
-        for block in composition_blocks(N, spec.q, cap):
-            lw = log_weight(base_spec, N, block)
-            np.logaddexp.at(L, block[:, 0], lw)
-        self._L = L
+        self._L = _c1_log_profile(spec, N, cap)
         self._j = np.arange(N + 1)
         self._x1 = self._j / N
 
@@ -300,22 +357,28 @@ class HProfile:
 class BProfile:
     """u_{N,p} and its beta-derivative at fixed (p, q, h, N).
 
-    Caches the beta-free log-weight and the p-norm statistic per composition;
-    each evaluation is a vectorized reweighting over the full support.
+    At fixed h the weight is symmetric in colours 2..q, so the support is one
+    row per orbit (c_2 >= ... >= c_q); the beta-free log-weight of a row
+    includes the log of its orbit size.  Each evaluation is a vectorized
+    reweighting over the orbits.
     """
 
     def __init__(self, spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP):
         self.spec = spec
         self.N = N
-        count = check_cap(N, spec.q, cap)
-        self._rest = np.empty(count)
-        self._pnorm = np.empty(count)
+        _check_support(N, spec.q, cap)
+        lgam, xp, x = _weight_tables(spec.p, N)
+        rows = _n_partitions(N, spec.q - 1)[::-1]  # orbits per value of c_1
+        self._rest = np.empty(int(rows.sum()))
+        self._pnorm = np.empty(len(self._rest))
         pos = 0
-        base_spec = spec.with_params(beta=0.0)
-        for block in composition_blocks(N, spec.q, cap):
+        for lo, hi in _ranges(rows, BLOCK_ROWS):
+            block = _orbit_block(N, spec.q, lo, hi)
             m = block.shape[0]
-            self._rest[pos:pos + m] = log_weight(base_spec, N, block)
-            self._pnorm[pos:pos + m] = np.sum((block / N) ** spec.p, axis=1)
+            self._rest[pos:pos + m] = (gammaln(N + 1) - lgam[block].sum(axis=1)
+                                       + N * spec.h * x[block[:, 0]]
+                                       + _log_orbit_size(block[:, 1:]))
+            self._pnorm[pos:pos + m] = xp[block].sum(axis=1)
             pos += m
 
     def moments(self, beta: float) -> tuple:
@@ -324,6 +387,46 @@ class BProfile:
 
     def up(self, beta: float) -> float:
         return self.moments(beta)[0]
+
+
+def _n_partitions(N: int, parts: int) -> np.ndarray:
+    """Number of partitions of n = 0..N into at most ``parts`` parts."""
+    count = np.ones(N + 1, dtype=np.int64)
+    for k in range(2, parts + 1):
+        # p_k(n) = p_{k-1}(n) + p_k(n - k): a running sum along each residue mod k
+        for r in range(k):
+            count[r::k] = np.cumsum(count[r::k])
+    return count
+
+
+def _orbit_block(N: int, q: int, lo: int, hi: int) -> np.ndarray:
+    """Rows (c_1, c_2, ..., c_q) with c_1 in [lo, hi) and c_2 >= ... >= c_q.
+
+    With m counts still to place and `left` to share, the largest of them
+    lies in [ceil(left / m), min(previous count, left)].
+    """
+    first = np.arange(lo, hi, dtype=np.int64)
+    cols, left = [first], N - first
+    prev = left
+    for m in range(q - 1, 1, -1):
+        cols, left = _spread(cols, left, -(-left // m), np.minimum(prev, left))
+        prev = cols[-1]
+    cols.append(left)
+    return np.stack(cols, axis=1)
+
+
+def _log_orbit_size(tail: np.ndarray) -> np.ndarray:
+    """log((q-1)! / prod k!) for rows sorted non-increasing, k the run lengths.
+
+    ``run`` counts each entry's position within its run of equal counts, so
+    the sum of log(run) over a row is log prod k!.
+    """
+    run = np.ones(len(tail))
+    log_runs = np.zeros(len(tail))
+    for k in range(1, tail.shape[1]):
+        run = np.where(tail[:, k] == tail[:, k - 1], run + 1.0, 1.0)
+        log_runs += np.log(run)
+    return gammaln(tail.shape[1] + 1) - log_runs
 
 
 def _tilted_moments(base: np.ndarray, tilt: np.ndarray, stat: np.ndarray, N: int) -> tuple:

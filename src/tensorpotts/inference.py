@@ -9,7 +9,7 @@ N Var(sum_r xbar_r^p).  The root is bracketed by doubling and then found by
 safeguarded Newton steps that fall back to bisection whenever a step would
 leave the bracket, so the solve converges unconditionally and quadratically
 near the root.  Expectations and derivatives inside the root-finding are
-exact finite-N values from the enumeration engine, never Monte Carlo.
+exact finite-N values from the exact engine, never Monte Carlo.
 
 Confidence sets: the plain plug-in intervals around the estimates are
 asymptotically valid at regular points.  They are made universally valid

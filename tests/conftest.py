@@ -15,6 +15,12 @@ import pytest
 from tensorpotts import ModelSpec
 
 
+def trapezoid(y, x) -> float:
+    """Trapezoid rule on samples y at nodes x (np.trapezoid needs numpy >= 2)."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
 def central_difference(fn, x: float, step: float) -> float:
     return (fn(x + step) - fn(x - step)) / (2.0 * step)
 

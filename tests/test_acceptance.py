@@ -15,6 +15,8 @@ import tensorpotts as tp
 from tensorpotts import laws
 from tensorpotts.exact import HProfile
 
+from conftest import trapezoid
+
 REPORT = "ACCEPTANCE {n:>2} [{status}] {desc} ({elapsed:.2f}s)"
 
 
@@ -294,13 +296,13 @@ def test_criterion_13_law_sanity(fig1_setting, landmarks43):
     for law in (laws.quartic_law(spec_sp, point_class=pc_sp),
                 laws.quartic_law(spec_sp, 0.5, -0.7, pc_sp),
                 laws.sextic_law(0.0), laws.sextic_law(1.2)):
-        mass = float(np.trapezoid(law.pdf(law.x), law.x))
+        mass = trapezoid(law.pdf(law.x), law.x)
         ok &= abs(mass - 1.0) <= 1e-8
 
     # squared laws: substitution y = sqrt(t) smooths the edge
     for law in (laws.norm_p_limit(spec_ii, pc_ii),):
         ys = np.linspace(1e-9, math.sqrt(float(law.c) * law.base.x[-1] ** 2), 40001)
-        mass = float(np.trapezoid(2 * ys * law.pdf(ys ** 2), ys))
+        mass = trapezoid(2 * ys * law.pdf(ys ** 2), ys)
         ok &= abs(mass - 1.0) <= 1e-6
 
     # composed estimator laws are monotone cdfs on a 200-point grid
@@ -330,7 +332,7 @@ def test_criterion_13_law_sanity(fig1_setting, landmarks43):
     reg = laws.hhat_limit(spec_reg, pc_reg)
     xs = np.linspace(reg.mean() - 8 * math.sqrt(reg.var()),
                      reg.mean() + 8 * math.sqrt(reg.var()), 20001)
-    ok &= abs(float(np.trapezoid(reg.pdf(xs), xs)) - 1.0) <= 1e-8
+    ok &= abs(trapezoid(reg.pdf(xs), xs) - 1.0) <= 1e-8
 
     elapsed = time.time() - t0
     ok &= elapsed < 60.0

@@ -19,6 +19,7 @@ from tensorpotts import (
 )
 from tensorpotts.exact import BProfile, HProfile, composition_blocks, n_compositions
 from tensorpotts.errors import DomainError, SupportSizeError
+from scipy.special import gammaln
 
 from conftest import brute_force_log_partition, central_difference, rng
 
@@ -59,6 +60,15 @@ class TestCompositions:
     def test_cap(self):
         with pytest.raises(SupportSizeError):
             list(compositions_iter(100, 3, cap=10))
+
+    @pytest.mark.parametrize("N,q,block_rows", [(6, 2, 1), (7, 3, 1), (7, 3, 4), (5, 4, 3),
+                                                (5, 4, 20), (4, 5, 2), (4, 5, 11)])
+    def test_small_blocks_match_product(self, N, q, block_rows):
+        # block_rows below the rows of one leading count forces the split by the next count
+        blocks = list(composition_blocks(N, q, block_rows=block_rows))
+        assert all(0 < len(b) <= block_rows for b in blocks)
+        expected = [c for c in itertools.product(range(N + 1), repeat=q) if sum(c) == N]
+        assert [tuple(r) for r in np.concatenate(blocks)] == expected
 
 
 class TestLogWeight:
@@ -113,6 +123,19 @@ class TestExactLaw:
             base = log_weight(spec, N, np.array(c))
             for perm in itertools.permutations(c):
                 assert log_weight(spec, N, np.array(perm)) == base
+
+    @pytest.mark.parametrize("p,q,beta,h,N", [(4, 3, 0.9, 0.4, 60), (2, 2, 1.3, 0.1, 200),
+                                              (4, 4, 0.6, 0.2, 40), (3, 5, 1.1, 0.7, 15)])
+    def test_log_probs_bit_identical_to_gammaln_formula(self, p, q, beta, h, N):
+        law = magnetization_law(ModelSpec(p, q, beta, h), N)
+        support = np.array([c for c in itertools.product(range(N + 1), repeat=q)
+                            if sum(c) == N]) if q <= 3 else law.support
+        assert np.array_equal(law.support, support)
+        x = support / N
+        lw = gammaln(N + 1) - gammaln(support + 1).sum(axis=1)
+        lw += N * (beta * np.sum(x ** p, axis=1) + h * x[:, 0])
+        top = lw.max()
+        assert np.array_equal(law.log_probs, lw - (top + math.log(np.exp(lw - top).sum())))
 
     def test_marginal_sums(self):
         law = magnetization_law(ModelSpec(4, 2, 0.6, 0.1), 50)
@@ -238,3 +261,49 @@ class TestProfiles:
             central_difference(hprof.u1, h, 1e-4), rel=1e-6)
         assert bprof.moments(beta)[1] == pytest.approx(
             central_difference(bprof.up, beta, 1e-4), rel=1e-6)
+
+
+def _compositions(N, q):
+    """Compositions of N into q parts by plain recursion: the test oracle."""
+    if q == 1:
+        yield (N,)
+        return
+    for c in range(N + 1):
+        for rest in _compositions(N - c, q - 1):
+            yield (c,) + rest
+
+
+def _oracle_moments(spec, N, stat):
+    """(log Z, E[stat], N Var[stat]) by direct summation over every composition."""
+    c = np.array(list(_compositions(N, spec.q)))
+    x = c / N
+    lw = (gammaln(N + 1) - gammaln(c + 1).sum(axis=1)
+          + N * (spec.beta * np.sum(x ** spec.p, axis=1) + spec.h * x[:, 0]))
+    top = lw.max()
+    w = np.exp(lw - top)
+    z = w.sum()
+    values = stat(x)
+    mean = float(w @ values / z)
+    return top + math.log(z), mean, N * float(w @ (values - mean) ** 2 / z)
+
+
+@given(p=st.integers(2, 6), q=st.integers(2, 5), N=st.integers(1, 14),
+       beta=st.floats(0.0, 3.0), h=st.floats(0.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_colour_profile_matches_enumeration(p, q, N, beta, h):
+    spec = ModelSpec(p, q, beta, h)
+    logz, u1, var1 = _oracle_moments(spec, N, lambda x: x[:, 0])
+    assert abs(log_partition(spec, N) - logz) <= 1e-10
+    assert abs(expect_u1(spec, N) - u1) <= 1e-10
+    mean, var = HProfile(spec, N).moments(h)
+    assert abs(mean - u1) <= 1e-10 and abs(var - var1) <= 1e-10
+
+
+@given(p=st.integers(2, 6), q=st.integers(2, 6), N=st.integers(1, 14),
+       beta=st.floats(0.0, 3.0), h=st.floats(0.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_collapsed_b_profile_matches_full_support(p, q, N, beta, h):
+    spec = ModelSpec(p, q, beta, h)
+    _, up, var = _oracle_moments(spec, N, lambda x: np.sum(x ** p, axis=1))
+    mean, got_var = BProfile(spec, N).moments(beta)
+    assert abs(mean - up) <= 1e-12 and abs(got_var - var) <= 1e-10

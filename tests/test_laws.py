@@ -43,6 +43,8 @@ from tensorpotts.laws import (
     law_to_json,
 )
 
+from conftest import trapezoid
+
 
 @pytest.fixture(scope="module")
 def special43():
@@ -58,7 +60,7 @@ def regular_pc(fig_regular_spec):
 
 def trapezoid_mass(law) -> float:
     x = law.x
-    return float(np.trapezoid(law.pdf(x), x))
+    return trapezoid(law.pdf(x), x)
 
 
 class TestGridLaws:
@@ -429,6 +431,30 @@ def test_composed_laws_match_scalar_oracle(name, special43):
         assert law.quantile(u) == pytest.approx(oracle.quantile(u), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["G1", "L1", "G2"])
+def test_composed_mean_matches_quantile_average(name, special43):
+    if name == "G2":
+        spec = ModelSpec(4, 2, 2 / 3, 0.0)
+        law = hhat_limit(spec, classify_point(spec))
+    else:
+        spec, pc = special43
+        law = hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
+    us = np.linspace(0.0005, 0.9995, 999)
+    assert law.mean() == pytest.approx(np.mean([law.quantile(u) for u in us]), abs=1e-9)
+
+
+@pytest.mark.parametrize("shift,slope", [(2.0, 3.0), (-5.0, 0.5), (0.3, 40.0)])
+def test_composed_mean_of_affine_law(shift, slope):
+    # mu(t) = -slope (t - shift) makes T = shift + X / slope, X ~ outer; the mean
+    # of X under its piecewise-linear cdf is a sum over the outer grid cells
+    outer = GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, 8.0)
+    law = ComposedLaw("Affine", outer, lambda t: -slope * (t - shift))
+    x, cdf = outer.x, outer.cdf_values
+    outer_mean = float(np.sum(0.5 * (x[1:] + x[:-1]) * np.diff(cdf)))
+    assert outer_mean > 0.8
+    assert law.mean() == pytest.approx(shift + outer_mean / slope, abs=1e-12)
+
+
 class TestNormPLimit:
     def test_gaussian_mean_variance_relation(self, fig_regular_spec, regular_pc):
         beta_bar = 0.7
@@ -458,7 +484,7 @@ class TestNormPLimit:
         assert isinstance(law, SquaredGridLaw)
         # integrate in y = sqrt(t), where the t^{-1/2} edge becomes smooth
         ys = np.linspace(1e-9, math.sqrt(10.0), 20001)
-        mass = float(np.trapezoid(2 * ys * law.pdf(ys ** 2), ys))
+        mass = trapezoid(2 * ys * law.pdf(ys ** 2), ys)
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert law.cdf(10.0) == pytest.approx(1.0, abs=1e-10)
         assert law.mean() == pytest.approx(3.0 * sextic_law(0.0).second_moment(), rel=1e-12)
