@@ -11,6 +11,7 @@ import pathlib
 
 import tensorpotts as tp
 from tensorpotts.phase import curve_to_csv
+from tensorpotts.tables import write_table
 
 
 def emit(p, q, beta_max, h_max, resolution, curve_samples, outdir):
@@ -21,12 +22,9 @@ def emit(p, q, beta_max, h_max, resolution, curve_samples, outdir):
     diagram = tp.phase_diagram(p, q, (1e-3, beta_max), (0.0, h_max), resolution,
                                curve_samples=max(curve_samples // 4, 8) if curve else 8)
 
-    grid_path = outdir / f"phase_grid_{tag}.csv"
-    with open(grid_path, "w") as fh:
-        fh.write("beta,h,tag\n")
-        for i, h in enumerate(diagram.h_values):
-            for j, b in enumerate(diagram.beta_values):
-                fh.write("%.17g,%.17g,%s\n" % (b, h, diagram.tags[i, j].value))
+    write_table(outdir / f"phase_grid_{tag}.csv", ["beta", "h", "tag"],
+                [(b, h, diagram.tags[i, j].value) for i, h in enumerate(diagram.h_values)
+                 for j, b in enumerate(diagram.beta_values)])
 
     landmarks = {
         "beta_c": bc,

@@ -22,32 +22,14 @@ from . import phase
 from .errors import NonConvergenceError, PreconditionError, TensorPottsError
 from .model import ModelSpec
 from .phase import PointTag
+from .tables import write_table
 
 EXIT_PRECONDITION = 2
 EXIT_NONCONVERGENCE = 3
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_table(path, fmt: str, columns: list, rows) -> None:
-    """Write a table as CSV (floats at 17 significant digits) or JSON records."""
-    if fmt == "json":
-        records = [dict(zip(columns, [v if isinstance(v, str) else float(v) for v in row]))
-                   for row in rows]
-        with open(path, "w") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
-        return
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _spec(args) -> ModelSpec:
@@ -74,8 +56,8 @@ def cmd_landmarks(args) -> None:
 def cmd_curve(args) -> None:
     samples = phase.critical_curve(args.p, args.q, args.samples)
     if args.out:
-        _write_table(args.out, args.format, ["h", "beta", "s_low", "s_high"],
-                     [(c.h, c.beta, c.s_low, c.s_high) for c in samples])
+        write_table(args.out, ["h", "beta", "s_low", "s_high"],
+                    [(c.h, c.beta, c.s_low, c.s_high) for c in samples], args.format)
     _emit({"n_samples": len(samples),
            "h_range": [samples[0].h, samples[-1].h] if samples else [],
            "beta_range": [samples[-1].beta, samples[0].beta] if samples else [],
@@ -90,7 +72,7 @@ def cmd_phase_diagram(args) -> None:
         rows = [(float(b), float(h), diagram.tags[i, j].value)
                 for i, h in enumerate(diagram.h_values)
                 for j, b in enumerate(diagram.beta_values)]
-        _write_table(args.out, args.format, ["beta", "h", "tag"], rows)
+        write_table(args.out, ["beta", "h", "tag"], rows, args.format)
     _emit({
         "beta_c": diagram.beta_c,
         "special": {"beta_tilde": diagram.special.beta_tilde,
@@ -118,7 +100,7 @@ def cmd_exact(args) -> None:
         pmfs = [law.marginal(r)[1] for r in range(spec.q)]
         cols = ["x"] + [f"pmf_x{r + 1}" for r in range(spec.q)]
         rows = [(float(x),) + tuple(float(p[i]) for p in pmfs) for i, x in enumerate(grid)]
-        _write_table(args.out, args.format, cols, rows)
+        write_table(args.out, cols, rows, args.format)
     _emit({"u_N1": u1, "u_Np": up,
            "log_partition": exact.log_partition(spec, args.N),
            "support_size": int(len(law.log_probs)), "out": args.out})
@@ -176,24 +158,17 @@ def _estimate_payload(args, method: str) -> dict:
     data = _load_data_vector(args, spec)
     if args.param == "h":
         est = inference.mle_h(spec, float(data[0]), args.N)
-        if method == "two_step":
-            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="h",
-                                       estimate=est)
-        else:
-            cs = inference.ci_h(spec, data, args.N, args.alpha, estimate=est)
-            if method == "augmented":
-                cs = inference.augment_ci(
-                    cs, inference.critical_slice_h(spec.p, spec.q, spec.beta))
+        ci, critical_slice, other = inference.ci_h, inference.critical_slice_h, spec.beta
     else:
         est = inference.mle_beta(spec, float(np.sum(data ** spec.p)), args.N)
-        if method == "two_step":
-            cs = inference.two_step_ci(spec, data, args.N, args.alpha, param="beta",
-                                       estimate=est)
-        else:
-            cs = inference.ci_beta(spec, data, args.N, args.alpha, estimate=est)
-            if method == "augmented":
-                cs = inference.augment_ci(
-                    cs, inference.critical_slice_beta(spec.p, spec.q, spec.h))
+        ci, critical_slice, other = inference.ci_beta, inference.critical_slice_beta, spec.h
+    if method == "two_step":
+        cs = inference.two_step_ci(spec, data, args.N, args.alpha, param=args.param,
+                                   estimate=est)
+    else:
+        cs = ci(spec, data, args.N, args.alpha, estimate=est)
+        if method == "augmented":
+            cs = inference.augment_ci(cs, critical_slice(spec.p, spec.q, other))
     payload = est.to_json_dict()
     payload["ci"] = cs.to_json_dict()
     payload["param"] = args.param

@@ -11,7 +11,7 @@ Scalar laws come in a few families:
 * composed estimator laws whose cdf at t evaluates the mean of a t-tilted
   member of the family and feeds it through the zero-tilt cdf (the means of
   all tilts come from one blocked Simpson quadrature, ``_tilted_means``);
-* Monte-Carlo laws for quadratic forms of rank-deficient Gaussians.
+* chi-square laws, exact through the incomplete gamma function.
 
 Vector laws are Gaussians supported on the zero-sum hyperplane (rank q-1), or
 mixtures of permuted copies at critical points, or the rank-(q-2) covariance
@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.special import ndtr, ndtri
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import ClassificationError, DomainError
 from .model import ModelSpec, f_deriv, k_deriv, sigma_matrix, sigma_ratio, u_vector, x_of_s
 from .phase import PointClass, PointTag, classify_point
+from .tables import write_table
 
 GRID_POINTS = 4097
 TAIL_LOG_EPS = math.log(1e-14)
@@ -72,6 +73,18 @@ class ScalarLaw:
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
+
+
+def _bisect_quantile(cdf, u: float, lo: float, hi: float) -> float:
+    """Bisect for cdf(t) >= u on [lo, hi] until the midpoint rounds to an end."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if cdf(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
 
 
 class GridLaw(ScalarLaw):
@@ -236,8 +249,7 @@ class MixtureLaw(ScalarLaw):
         self.atoms = [Atom(float(a.location), float(a.mass)) for a in atoms]
         self.neg_inf_mass = float(neg_inf_mass)
         self.pos_inf_mass = float(pos_inf_mass)
-        total = (sum(w for w, _ in self.components) + sum(a.mass for a in self.atoms)
-                 + self.neg_inf_mass + self.pos_inf_mass)
+        total = self.total_mass
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"mixture masses sum to {total!r}, not 1")
 
@@ -274,18 +286,16 @@ class MixtureLaw(ScalarLaw):
             return -math.inf
         if u > 1.0 - self.pos_inf_mass:
             return math.inf
+        for a in self.atoms:
+            top = float(self.cdf(a.location))
+            if top - a.mass < u <= top:
+                return a.location
         lo, hi = -1.0, 1.0
         while self.cdf(lo) > u - 1e-15 and lo > -1e12:
             lo *= 4
         while self.cdf(hi) < u and hi < 1e12:
             hi *= 4
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return _bisect_quantile(self.cdf, u, lo, hi)
 
     def sample(self, n, seed):
         if self.neg_inf_mass > 0 or self.pos_inf_mass > 0:
@@ -314,29 +324,26 @@ class MixtureLaw(ScalarLaw):
 
 
 class ComposedLaw(ScalarLaw):
-    """Estimator cdf of the form t -> F0(+/- mu(t)).
+    """Estimator cdf of the form t -> F0(-mu(t)).
 
     ``outer`` is the zero-tilt cdf of the family; ``tilted_mean`` maps an array
     of tilts t to the means of the t-tilted members, strictly decreasing in t.
-    The sign-consistent form applies the outer cdf to the negated mean; the
-    as-printed form (no negation) is kept as an option.  mu is tabulated by one
-    vectorised call on a range wide enough that the outer cdf saturates beyond it.
+    mu is tabulated by one vectorised call on a range wide enough that the
+    outer cdf saturates beyond it.
     """
 
     kind = "Composed"
 
-    def __init__(self, name: str, outer: GridLaw, tilted_mean, negate_mean: bool = True,
-                 grid_points: int = 1025):
+    def __init__(self, name: str, outer: GridLaw, tilted_mean):
         self.name = name
         self.outer = outer
-        self.negate_mean = negate_mean
         radius = float(outer.x[-1])
         t_max = 1.0
         while abs(tilted_mean(np.array([t_max]))[0]) < radius and t_max < 1e9:
             t_max *= 2.0
         # sinh spacing: dense where the cdf moves fastest (small t), still
         # reaching the saturation range
-        u = np.linspace(-1.0, 1.0, grid_points)
+        u = np.linspace(-1.0, 1.0, 1025)
         stretch = 6.0
         self._t_grid = t_max * np.sinh(stretch * u) / math.sinh(stretch)
         self._mu_grid = tilted_mean(self._t_grid)
@@ -344,7 +351,7 @@ class ComposedLaw(ScalarLaw):
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         mu = np.interp(t, self._t_grid, self._mu_grid)
-        vals = self.outer.cdf(-mu if self.negate_mean else mu)
+        vals = self.outer.cdf(-mu)
         return float(vals) if t.ndim == 0 else vals
 
     def mean(self) -> float:
@@ -354,29 +361,20 @@ class ComposedLaw(ScalarLaw):
         t at which the interpolated mean crosses a node of the outer grid it
         is linear, so the trapezoid rule on the union of both is exact.
         """
-        sign = -1.0 if self.negate_mean else 1.0
-        crossings = np.interp(-sign * self.outer.x, -self._mu_grid, self._t_grid)
+        crossings = np.interp(self.outer.x, -self._mu_grid, self._t_grid)
         t = np.union1d(self._t_grid, crossings)
         f = self.cdf(t)
         return float(t[-1] - np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
 
     def quantile(self, u: float) -> float:
-        lo, hi = float(self._t_grid[0]), float(self._t_grid[-1])
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return _bisect_quantile(self.cdf, u, float(self._t_grid[0]), float(self._t_grid[-1]))
 
     def sample(self, n, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         return np.array([self.quantile(u) for u in rng.random(n)])
 
     def params(self):
-        return {"name": self.name, "negate_mean": self.negate_mean,
-                "outer": self.outer.to_json_dict()}
+        return {"name": self.name, "outer": self.outer.to_json_dict()}
 
 
 class AffineOfLaw(ScalarLaw):
@@ -439,14 +437,7 @@ class SquaredGridLaw(ScalarLaw):
         return self.c * self.base.second_moment()
 
     def quantile(self, u):
-        lo, hi = 0.0, self.c * self.base.x[-1] ** 2
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return _bisect_quantile(self.cdf, u, 0.0, self.c * self.base.x[-1] ** 2)
 
     def sample(self, n, seed):
         return self.c * self.base.sample(n, seed) ** 2
@@ -455,33 +446,29 @@ class SquaredGridLaw(ScalarLaw):
         return {"scale": self.c, "base": self.base.to_json_dict()}
 
 
-class MonteCarloLaw(ScalarLaw):
-    """Law represented by a frozen Monte-Carlo sample (for W'W functionals)."""
+class ChiSquareLaw(ScalarLaw):
+    """Chi-square law with ``dof`` degrees of freedom, exact through the
+    regularized incomplete gamma function."""
 
-    def __init__(self, kind: str, draws: np.ndarray, seed: int):
-        self.kind = kind
-        self.draws = np.sort(np.asarray(draws, dtype=float))
-        self.seed = seed
+    kind = "ChiSquare"
+
+    def __init__(self, dof: int):
+        self.dof = int(dof)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.draws, x, side="right") / len(self.draws)
+        return gammainc(0.5 * self.dof, 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def mean(self) -> float:
-        return float(self.draws.mean())
+        return float(self.dof)
 
     def var(self) -> float:
-        return float(self.draws.var())
+        return 2.0 * self.dof
 
     def quantile(self, u):
-        return float(np.quantile(self.draws, u))
-
-    def sample(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return rng.choice(self.draws, size=n, replace=True)
+        return 2.0 * gammaincinv(0.5 * self.dof, u)
 
     def params(self):
-        return {"n_draws": len(self.draws), "seed": self.seed}
+        return {"dof": self.dof}
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +656,10 @@ def _tau(spec: ModelSpec, m: np.ndarray) -> float:
     return math.sqrt(rad)
 
 
-def mixture_weights(spec: ModelSpec, point_class: PointClass | None = None,
-                    tie_tol: float | None = None) -> np.ndarray:
+def mixture_weights(spec: ModelSpec, point_class: PointClass | None = None) -> np.ndarray:
     """Basin weights p_k = tau(m_k) / sum tau(m_i) at a critical point."""
     if point_class is None:
-        point_class = (classify_point(spec, tie_tol=tie_tol) if tie_tol is not None
-                       else classify_point(spec))
+        point_class = classify_point(spec)
     if point_class.tag not in (PointTag.STRONGLY_CRITICAL, PointTag.WEAKLY_CRITICAL):
         raise ClassificationError(f"mixture weights require a critical point, got {point_class.tag}")
     taus = np.array([_tau(spec, m) for m in point_class.witness.vectors])
@@ -691,17 +676,10 @@ def critical_mixture_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 
     for m in point_class.witness.vectors:
         s = _s_of_maximizer(spec.q, m)
         cov = sigma_matrix(spec, s)
-        base = x_of_s(spec.q, s)
-        # permutation matrix P with m = P x_s (ties matched greedily)
-        P = np.zeros((spec.q, spec.q))
-        used = set()
-        for i in range(spec.q):
-            for jj in range(spec.q):
-                if jj not in used and abs(m[i] - base[jj]) < 1e-12:
-                    P[i, jj] = 1.0
-                    used.add(jj)
-                    break
-        pcov = P @ cov @ P.T
+        # m is x_s with its distinct first coordinate moved to position i
+        i = int(np.argmax(np.abs(m - x_of_s(spec.q, s)[0]) < 1e-12))
+        perm = np.insert(np.arange(1, spec.q), i, 0)
+        pcov = cov[np.ix_(perm, perm)]
         drift = beta_bar * spec.p * m ** (spec.p - 1)
         drift[0] += h_bar
         comps.append(GaussianSimplex(mean=pcov @ drift, cov=pcov))
@@ -739,12 +717,10 @@ def _weight_of_uniform(spec: ModelSpec, point_class: PointClass) -> float:
     raise ClassificationError("no uniform maximizer in the witness set")
 
 
-def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
-               stated_form: bool = False) -> ScalarLaw:
+def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> ScalarLaw:
     """Limiting law of the rescaled ML field estimate, per phase class.
 
-    Regular: N(0, -q^2/(q-1)^2 f''(s)).  Special: the composed laws G1/G2
-    (sign-consistent by default; ``stated_form`` keeps the un-negated mean).
+    Regular: N(0, -q^2/(q-1)^2 f''(s)).  Special: the composed laws G1/G2.
     Critical: half-normal mixtures with an atom at zero.
     """
     if point_class is None:
@@ -759,12 +735,10 @@ def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
     if tag is PointTag.SPECIAL_TYPE_I:
         outer = quartic_law(spec, 0.0, 0.0, point_class)
         coef4, _ = _quartic_coefs(spec, point_class)
-        return ComposedLaw("G1", outer, lambda t: _tilted_means(coef4, 4, t * (1 - q)),
-                           negate_mean=not stated_form)
+        return ComposedLaw("G1", outer, lambda t: _tilted_means(coef4, 4, t * (1 - q)))
 
     if tag is PointTag.SPECIAL_TYPE_II:
-        return ComposedLaw("G2", sextic_law(0.0), lambda t: _tilted_means(SEXTIC_COEF, 6, -t),
-                           negate_mean=not stated_form)
+        return ComposedLaw("G2", sextic_law(0.0), lambda t: _tilted_means(SEXTIC_COEF, 6, -t))
 
     def var_plain(s):
         return -(q * q / (q - 1.0) ** 2) * f_deriv(spec, s, 2)
@@ -806,24 +780,32 @@ def _beta_variance(spec: ModelSpec, s: float, m: np.ndarray) -> float:
     return -(q * q) * f_deriv(spec, s, 2) / (p * p * (q - 1.0) ** 2) / gap ** 2
 
 
-def gamma1_weight(spec: ModelSpec, n_draws: int = 1_000_000, seed: int = 20240901):
-    """gamma_1 = P(W'W <= (1-q)/k''(1/q)) with W ~ N(0, Sigma at s=0), by
-    Monte Carlo (the rank-deficient quadratic form has no convenient cdf).
+def gamma1_weight(spec: ModelSpec) -> float:
+    """gamma_1 = P(W'W <= (1-q)/k''(1/q)) for W ~ N(0, Sigma(0)).
 
-    Returns (estimate, standard error)."""
-    q = spec.q
-    cov = sigma_matrix(spec, 0.0)
-    law = GaussianSimplex(mean=np.zeros(q), cov=cov)
-    w = law.sample(n_draws, seed)
-    stat = np.sum(w * w, axis=1)
-    thresh = (1.0 - q) / k_deriv(spec, 1.0 / q, 2)
-    gamma = float(np.mean(stat <= thresh))
-    se = math.sqrt(max(gamma * (1.0 - gamma), 1e-12) / n_draws)
-    return gamma, se
+    Sigma(0) = a (I - J/q) with a = -1/k''(1/q), so W'W is a chi^2_{q-1} and
+    the threshold its mean (q-1) a: gamma_1 = P(chi^2_{q-1} <= q-1) for every
+    p and beta.
+    """
+    half_dof = 0.5 * (spec.q - 1)
+    return float(gammainc(half_dof, half_dof))
 
 
-def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
-               stated_form: bool = False, mc_seed: int = 20240901) -> ScalarLaw:
+def _escape_law(name: str, weight: float) -> MixtureLaw:
+    """Law of an inconsistent estimate: ``weight`` at -inf, the rest at +inf;
+    the weight is also kept as the attribute ``name``."""
+    law = MixtureLaw([], neg_inf_mass=weight, pos_inf_mass=1.0 - weight)
+    setattr(law, name, weight)
+    return law
+
+
+def _central_mass(base: GridLaw) -> float:
+    """Mass of ``base`` within one root second moment of 0."""
+    b = math.sqrt(base.second_moment())
+    return float(base.cdf(b) - base.cdf(-b))
+
+
+def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> ScalarLaw:
     """Limiting law of the rescaled ML interaction estimate, per phase class.
 
     At points where the maximizer is uniform the estimate is inconsistent and
@@ -841,35 +823,17 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
         if spec.h > 0:
             m = point_class.witness.vectors[0]
             return NormalLaw(0.0, _beta_variance(spec, s, m))
-        gamma, se = gamma1_weight(spec, seed=mc_seed)
-        law = MixtureLaw(components=[], atoms=[], neg_inf_mass=gamma,
-                         pos_inf_mass=1.0 - gamma)
-        law.gamma1 = gamma
-        law.gamma1_se = se
-        return law
+        return _escape_law("gamma1", gamma1_weight(spec))
 
     if tag is PointTag.SPECIAL_TYPE_I:
-        if (p, q) in ((2, 2), (3, 2)):
-            base = quartic_law(spec, 0.0, 0.0, point_class)
-            b = math.sqrt(base.second_moment())
-            alpha = float(base.cdf(b) - base.cdf(-b))
-            law = MixtureLaw(components=[], atoms=[], neg_inf_mass=alpha,
-                             pos_inf_mass=1.0 - alpha)
-            law.alpha = alpha
-            return law
         outer = quartic_law(spec, 0.0, 0.0, point_class)
+        if (p, q) in ((2, 2), (3, 2)):
+            return _escape_law("alpha", _central_mass(outer))
         coef4, slope = _quartic_coefs(spec, point_class)
-        return ComposedLaw("L1", outer, lambda t: _tilted_means(coef4, 4, t * p * slope),
-                           negate_mean=True)
+        return ComposedLaw("L1", outer, lambda t: _tilted_means(coef4, 4, t * p * slope))
 
     if tag is PointTag.SPECIAL_TYPE_II:
-        base = sextic_law(0.0)
-        b = math.sqrt(base.second_moment())
-        gamma2 = float(base.cdf(b) - base.cdf(-b))
-        law = MixtureLaw(components=[], atoms=[], neg_inf_mass=gamma2,
-                         pos_inf_mass=1.0 - gamma2)
-        law.gamma2 = gamma2
-        return law
+        return _escape_law("gamma2", _central_mass(sextic_law(0.0)))
 
     if tag is PointTag.WEAKLY_CRITICAL:
         s = point_class.witness.s_values[0]
@@ -881,13 +845,12 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
         s = max(point_class.witness.s_values)
         m = x_of_s(q, s)
         p1 = _weight_of_uniform(spec, point_class)
-        gamma, se = gamma1_weight(spec, seed=mc_seed)
+        gamma = gamma1_weight(spec)
         law = MixtureLaw(
             components=[((1.0 - p1) / 2.0, HalfNormalLaw(+1, _beta_variance(spec, s, m)))],
             atoms=[Atom(0.0, (1.0 + p1) / 2.0 - p1 * gamma)],
             neg_inf_mass=p1 * gamma)
         law.gamma1 = gamma
-        law.gamma1_se = se
         return law
 
     s1, s2 = point_class.witness.s_values
@@ -901,12 +864,12 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None,
 
 
 def norm_p_limit(spec: ModelSpec, point_class: PointClass | None = None,
-                 beta_bar: float = 0.0, mc_seed: int = 20240902,
-                 mc_draws: int = 200_000) -> ScalarLaw:
+                 beta_bar: float = 0.0) -> ScalarLaw:
     """Limit of the rescaled p-norm statistic under a beta perturbation.
 
     Regular off-uniform: Gaussian with mean beta_bar times its variance.
-    Regular uniform: the generalized chi-square p(p-1)/(2 q^{p-2}) W'W.
+    Regular uniform: p(p-1)/(2 q^{p-2}) W'W with W ~ N(0, a (I - J/q)), that
+    is c chi^2_{q-1} with c = p(p-1) a/(2 q^{p-2}) and a = -1/k''(1/q).
     Type I: a scaled quartic (or its square at (2,2)/(3,2)); type II: 3 F0^2.
     """
     if point_class is None:
@@ -922,10 +885,9 @@ def norm_p_limit(spec: ModelSpec, point_class: PointClass | None = None,
             gap = float(np.max(m) ** (p - 1) - np.min(m) ** (p - 1))
             variance = -(p * p * (q - 1.0) ** 2 / (q * q)) * gap ** 2 / f_deriv(spec, s, 2)
             return NormalLaw(beta_bar * variance, variance)
-        cov = sigma_matrix(spec, 0.0)
-        w = GaussianSimplex(np.zeros(q), cov).sample(mc_draws, mc_seed)
-        stat = (p * (p - 1.0) / (2.0 * q ** (p - 2))) * np.sum(w * w, axis=1)
-        return MonteCarloLaw("GeneralizedChiSq", stat, mc_seed)
+        a = -1.0 / k_deriv(spec, 1.0 / q, 2)
+        c = p * (p - 1.0) * a / (2.0 * q ** (p - 2))
+        return AffineOfLaw("GeneralizedChiSq", ChiSquareLaw(q - 1), c)
 
     if tag is PointTag.SPECIAL_TYPE_I:
         base = quartic_law(spec, beta_bar, 0.0, point_class)
@@ -958,24 +920,19 @@ def density_table(law: ScalarLaw, n: int = 512):
     """(x, pdf, cdf) arrays for plotting overlays."""
     if isinstance(law, GridLaw):
         x = law.x
-        return x, law.pdf(x), law.cdf(x)
-    if isinstance(law, NormalLaw):
+    elif isinstance(law, NormalLaw):
         x = np.linspace(law.mu - 6 * law.sigma, law.mu + 6 * law.sigma, n)
-        return x, law.pdf(x), law.cdf(x)
-    if isinstance(law, (MixtureLaw, HalfNormalLaw, SquaredGridLaw)):
+    elif isinstance(law, (MixtureLaw, HalfNormalLaw, SquaredGridLaw)):
         lo, hi = law.quantile(1e-6), law.quantile(1.0 - 1e-6)
         pad = 0.05 * (hi - lo + 1e-12)
         x = np.linspace(lo - pad, hi + pad, n)
-        return x, law.pdf(x), law.cdf(x)
-    raise DomainError(f"no density table for kind {law.kind}")
+    else:
+        raise DomainError(f"no density table for kind {law.kind}")
+    return x, law.pdf(x), law.cdf(x)
 
 
 def density_table_csv(law: ScalarLaw, path) -> None:
-    x, pdf, cdf = density_table(law)
-    with open(path, "w") as fh:
-        fh.write("x,pdf,cdf\n")
-        for xi, pi, ci in zip(x, pdf, cdf):
-            fh.write("%.17g,%.17g,%.17g\n" % (xi, pi, ci))
+    write_table(path, ["x", "pdf", "cdf"], zip(*density_table(law)))
 
 
 def law_to_json(law) -> str:

@@ -45,6 +45,7 @@ from .model import (
     k_deriv,
     x_of_s,
 )
+from .tables import write_table
 
 # Default resolution of the f' sign-change scan; f' has at most three roots,
 # so a coarse grid with one refinement pass near sign changes is safe.
@@ -608,7 +609,5 @@ def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
 
 def curve_to_csv(samples, path) -> None:
     """CSV schema: h,beta,s_low,s_high."""
-    with open(path, "w") as fh:
-        fh.write("h,beta,s_low,s_high\n")
-        for c in samples:
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (c.h, c.beta, c.s_low, c.s_high))
+    write_table(path, ["h", "beta", "s_low", "s_high"],
+                [(c.h, c.beta, c.s_low, c.s_high) for c in samples])

@@ -23,6 +23,7 @@ from .errors import DomainError
 from .exact import ExactLaw
 from .model import ModelSpec, u_vector
 from .phase import PointClass, PointTag
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -171,15 +172,10 @@ def write_samples_csv(path, rescaled, spec: ModelSpec, N: int, seed: int) -> Non
     The header comment carries the spec, N and seed for reproducibility.
     """
     q = spec.q
-    with open(path, "w") as fh:
-        fh.write(f"# p={spec.p} q={q} beta={spec.beta!r} h={spec.h!r} N={N} seed={seed}\n")
-        cols = [f"x{r + 1}" for r in range(q)]
-        special = rescaled and rescaled[0].t_n is not None
-        if special:
-            cols += ["t_n"] + [f"v_{r + 2}" for r in range(q - 1)]
-        fh.write(",".join(cols) + "\n")
-        for rs in rescaled:
-            vals = list(rs.raw)
-            if special:
-                vals += [rs.t_n] + list(rs.v_n[1:])
-            fh.write(",".join("%.17g" % v for v in vals) + "\n")
+    cols = [f"x{r + 1}" for r in range(q)]
+    rows = (list(rs.raw) for rs in rescaled)
+    if rescaled and rescaled[0].t_n is not None:
+        cols += ["t_n"] + [f"v_{r + 2}" for r in range(q - 1)]
+        rows = (list(rs.raw) + [rs.t_n] + list(rs.v_n[1:]) for rs in rescaled)
+    write_table(path, cols, rows,
+                comment=f"p={spec.p} q={q} beta={spec.beta!r} h={spec.h!r} N={N} seed={seed}")

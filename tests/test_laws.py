@@ -25,6 +25,7 @@ from tensorpotts import (
     norm_p_limit,
     quartic_law,
     sextic_law,
+    sigma_matrix,
     v_limit_covariance,
     x_of_s,
 )
@@ -32,6 +33,7 @@ from tensorpotts.errors import ClassificationError, DomainError
 from tensorpotts.laws import (
     Atom,
     ComposedLaw,
+    GaussianSimplex,
     GridLaw,
     HalfNormalLaw,
     MixtureLaw,
@@ -290,13 +292,6 @@ class TestEstimatorLimits:
         assert vals[0] < 0.01 and vals[-1] > 0.99
         assert np.all((vals >= 0) & (vals <= 1))
 
-    def test_g1_stated_form_is_reversed(self, special43):
-        # the un-negated composition decreases in t; kept only for reference
-        spec, pc = special43
-        stated = hhat_limit(spec, pc, stated_form=True)
-        ts = np.linspace(-5, 5, 41)
-        assert np.all(np.diff(stated.cdf(ts)) <= 1e-12)
-
     def test_g2_valid_cdf(self):
         spec = ModelSpec(4, 2, 2 / 3, 0.0)
         g2 = hhat_limit(spec, classify_point(spec))
@@ -345,10 +340,9 @@ class TestEstimatorLimits:
 
     def test_bhat_regular_uniform_inconsistent(self):
         spec = ModelSpec(4, 3, 0.5, 0.0)  # below beta_c(4,3): maximizer is uniform
-        law = bhat_limit(spec, classify_point(spec), mc_seed=77)
+        law = bhat_limit(spec, classify_point(spec))
         assert law.neg_inf_mass + law.pos_inf_mass == pytest.approx(1.0)
         assert 0 < law.gamma1 < 1
-        assert law.gamma1_se < 1e-3
 
     def test_gamma1_threshold_equals_mean(self):
         # the threshold (1-q)/k''(1/q) is E W'W = tr Sigma at s = 0
@@ -407,7 +401,7 @@ def _scalar_oracle(law, scalar_mean):
     def tilted_mean(ts):
         return np.array([scalar_mean(float(t)) for t in ts])
 
-    return ComposedLaw(law.name, law.outer, tilted_mean, negate_mean=law.negate_mean)
+    return ComposedLaw(law.name, law.outer, tilted_mean)
 
 
 @pytest.mark.parametrize("name", ["G1", "L1", "G2"])
@@ -476,7 +470,9 @@ class TestNormPLimit:
         law = norm_p_limit(spec, classify_point(spec))
         assert law.kind == "GeneralizedChiSq"
         assert law.mean() > 0
-        assert np.all(law.draws >= 0)
+        # nonnegative support: no mass below 0, and the 0-quantile is 0
+        assert law.cdf(-1e-9) == 0.0 and law.cdf(0.0) == 0.0
+        assert law.quantile(0.0) == 0.0
 
     def test_sextic_squared_normalizes(self):
         spec = ModelSpec(4, 2, 2 / 3, 0.0)
@@ -514,6 +510,150 @@ class TestNormPLimit:
         scale = -4 * 2 * (m[0] ** 3 - m[1] ** 3)
         assert law.var() == pytest.approx(scale ** 2 * base.var(), rel=1e-12)
         assert law.mean() == pytest.approx(0.0, abs=1e-12)
+
+
+def _gamma1_monte_carlo(spec, n_draws, seed, chunk=250_000):
+    """gamma_1 = P(W'W <= (1-q)/k''(1/q)) estimated from simplex-Gaussian draws,
+    with its binomial standard error."""
+    q = spec.q
+    law = GaussianSimplex(np.zeros(q), sigma_matrix(spec, 0.0))
+    thresh = (1.0 - q) / k_deriv(spec, 1.0 / q, 2)
+    hits = 0
+    for k in range(n_draws // chunk):
+        w = law.sample(chunk, seed + k)
+        hits += int(np.count_nonzero(np.sum(w * w, axis=1) <= thresh))
+    gamma = hits / n_draws
+    return gamma, math.sqrt(gamma * (1.0 - gamma) / n_draws)
+
+
+class TestClosedFormUniformLaws:
+    """The uniform-point laws in closed form against Monte-Carlo draws of W."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("beta", [0.1, 0.4])
+    def test_gamma1_within_4_sigma_of_monte_carlo(self, p, q, beta):
+        spec = ModelSpec(p, q, beta, 0.0)
+        seed = 1000 * p + 100 * q + int(10 * beta)
+        estimate, se = _gamma1_monte_carlo(spec, 1_000_000, seed)
+        assert abs(gamma1_weight(spec) - estimate) <= 4 * se
+
+    def test_gamma1_known_values(self):
+        # P(chi^2_{q-1} <= q-1): 1 - e^{-1} at q = 3, 1 - 3 e^{-2} at q = 5
+        gamma_q3 = gamma1_weight(ModelSpec(4, 3, 0.5, 0.0))
+        assert isinstance(gamma_q3, float)
+        assert gamma_q3 == pytest.approx(1 - math.exp(-1), rel=1e-14)
+        assert gamma1_weight(ModelSpec(3, 5, 0.2, 0.0)) == pytest.approx(1 - 3 * math.exp(-2),
+                                                                        rel=1e-14)
+
+    @pytest.mark.parametrize("p,q,beta", [(4, 3, 0.5), (3, 5, 0.2), (5, 2, 0.3)])
+    def test_chi_square_law_ks_against_draws(self, p, q, beta):
+        spec = ModelSpec(p, q, beta, 0.0)
+        law = norm_p_limit(spec, classify_point(spec))
+        n = 100_000
+        w = GaussianSimplex(np.zeros(q), sigma_matrix(spec, 0.0)).sample(n, seed=31 + q)
+        stat = p * (p - 1.0) / (2.0 * q ** (p - 2)) * np.sum(w * w, axis=1)
+        assert ks_distance(stat, law) <= 1.95 / math.sqrt(n)  # asymptotic 1e-3 KS quantile
+        assert law.mean() == pytest.approx(stat.mean(), rel=0.02)
+        assert law.var() == pytest.approx(stat.var(), rel=0.05)
+
+    def test_chi_square_quantile_inverts_cdf(self):
+        spec = ModelSpec(4, 3, 0.5, 0.0)
+        law = norm_p_limit(spec, classify_point(spec))
+        for u in (1e-6, 0.025, 0.1, 0.5, 0.9, 0.975, 1 - 1e-6):
+            assert abs(law.cdf(law.quantile(u)) - u) <= 1e-12
+
+
+def _fixed_steps(cdf, u, lo, hi, steps):
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _old_quantile(law, u):
+    """The fixed-step bisection loops that the shared quantile helper replaced."""
+    if isinstance(law, ComposedLaw):
+        return _fixed_steps(law.cdf, u, float(law._t_grid[0]), float(law._t_grid[-1]), 120)
+    if isinstance(law, SquaredGridLaw):
+        return _fixed_steps(law.cdf, u, 0.0, law.c * law.base.x[-1] ** 2, 120)
+    if u <= law.neg_inf_mass:
+        return -math.inf
+    if u > 1.0 - law.pos_inf_mass:
+        return math.inf
+    lo, hi = -1.0, 1.0
+    while law.cdf(lo) > u - 1e-15 and lo > -1e12:
+        lo *= 4
+    while law.cdf(hi) < u and hi < 1e12:
+        hi *= 4
+    return _fixed_steps(law.cdf, u, lo, hi, 200)
+
+
+def _in_atom(law, u):
+    return any(float(law.cdf(a.location)) - a.mass < u <= float(law.cdf(a.location))
+               for a in getattr(law, "atoms", ()))
+
+
+def _quantile_cases():
+    cases = []
+    for p, q in ((4, 3), (4, 4)):
+        sp = compute_special_point(p, q)
+        spec = ModelSpec(p, q, sp.beta_tilde, sp.h_tilde)
+        pc = classify_point(spec)
+        cases += [(f"G1({p},{q})", hhat_limit(spec, pc)), (f"L1({p},{q})", bhat_limit(spec, pc))]
+    type_ii = ModelSpec(4, 2, 2 / 3, 0.0)
+    cases.append(("G2", hhat_limit(type_ii)))
+    cases.append(("SexticSquared", norm_p_limit(type_ii)))
+    sp22 = compute_special_point(2, 2)
+    cases.append(("QuarticSquared", norm_p_limit(ModelSpec(2, 2, sp22.beta_tilde, 0.0))))
+    from tensorpotts.inference import critical_slice_beta
+
+    critical = [ModelSpec(7, 5, 2.0, 0.0), ModelSpec(4, 3, 1.3 * compute_beta_c(4, 3), 0.0)]
+    cases += [(f"hhat{s}", hhat_limit(s)) for s in critical]
+    for p, q, h in ((7, 5, 0.0), (4, 3, 0.0), (4, 3, 0.2), (7, 5, 0.5)):
+        beta = compute_beta_c(p, q) if h == 0.0 else critical_slice_beta(p, q, h)[0]
+        s = ModelSpec(p, q, beta, h)
+        cases += [(f"hhat{s}", hhat_limit(s)), (f"bhat{s}", bhat_limit(s))]
+    for s in (ModelSpec(4, 2, 0.9, 0.0), ModelSpec(4, 3, 1.25, 0.0)):
+        direction = np.linspace(1.0, -0.5, s.q)
+        cases.append((f"projection{s}", critical_mixture_law(s).project(direction)))
+    return cases
+
+
+_QUANTILE_US = (1e-6, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 1 - 1e-6)
+
+
+def test_quantile_helper_matches_fixed_step_loops():
+    cases = _quantile_cases()
+    assert sum(isinstance(law, MixtureLaw) for _, law in cases) == 12
+    compared = 0
+    for name, law in cases:
+        for u in _QUANTILE_US:
+            if _in_atom(law, u):
+                continue
+            old, new = _old_quantile(law, u), law.quantile(u)
+            assert new == old, (name, u, new, old)
+            compared += 1
+    assert compared >= 140  # 162 (law, u) pairs, the atom ones skipped
+
+
+def test_quantile_inside_an_atom_is_the_atom():
+    # weakly critical h-hat law: half-normals plus mass 1/2 at 0
+    law = hhat_limit(ModelSpec(4, 3, 1.3 * compute_beta_c(4, 3), 0.0))
+    atom = law.atoms[0]
+    top = float(law.cdf(atom.location))
+    for u in (0.5, top, top - atom.mass + 1e-9):
+        assert law.quantile(u) == 0.0
+    assert law.quantile(top - atom.mass - 1e-6) < 0.0 < law.quantile(top + 1e-6)
+    # the atom is found by one cdf call, not by bisecting down to the floats
+    # around 0 (about 1075 steps)
+    calls = []
+    cdf = law.cdf
+    law.cdf = lambda x: calls.append(x) or cdf(x)
+    assert law.quantile(0.5) == 0.0 and len(calls) == 1
 
 
 class TestKsDistance:
