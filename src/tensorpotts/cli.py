@@ -19,7 +19,7 @@ import numpy as np
 # The phase-only commands need no more than this; the other layers (and
 # scipy with them) are imported inside the commands that use them.
 from . import phase
-from .errors import NonConvergenceError, PreconditionError, TensorPottsError
+from .errors import DomainError, NonConvergenceError, PreconditionError, TensorPottsError
 from .model import ModelSpec
 from .phase import PointTag
 from .tables import write_table
@@ -34,6 +34,15 @@ def _emit(payload: dict) -> None:
 
 def _spec(args) -> ModelSpec:
     return ModelSpec(args.p, args.q, args.beta, args.h)
+
+
+def _direction(args, q: int):
+    """The --project direction as an array (None when not given), length q."""
+    if args.project is None:
+        return None
+    if len(args.project) != q:
+        raise DomainError(f"--project needs q={q} components, got {len(args.project)}")
+    return np.asarray(args.project)
 
 
 def cmd_classify(args) -> None:
@@ -110,6 +119,7 @@ def cmd_simulate(args) -> None:
     from . import exact, laws, sampling
 
     spec = _spec(args)
+    direction = _direction(args, spec.q)
     pc = phase.classify_point(spec, tol_class=args.tol_class)
     law = exact.magnetization_law(spec, args.N)
     draws = sampling.exact_sample(law, args.samples, args.seed)
@@ -119,14 +129,13 @@ def cmd_simulate(args) -> None:
     overlay = None
     if pc.tag is PointTag.REGULAR:
         overlay = laws.gaussian_limit_regular(spec, point_class=pc).project(
-            np.asarray(args.project)) if args.project else None
+            direction) if direction is not None else None
     elif pc.tag is PointTag.SPECIAL_TYPE_I:
         overlay = laws.quartic_law(spec, point_class=pc)
     elif pc.tag is PointTag.SPECIAL_TYPE_II:
         overlay = laws.sextic_law(0.0)
-    elif args.project:
-        overlay = laws.critical_mixture_law(spec, point_class=pc).project(
-            np.asarray(args.project))
+    elif direction is not None:
+        overlay = laws.critical_mixture_law(spec, point_class=pc).project(direction)
     density_out = None
     if overlay is not None and args.out:
         density_out = args.out + ".density.csv"
@@ -138,7 +147,12 @@ def cmd_simulate(args) -> None:
 
 def _load_data_vector(args, spec: ModelSpec):
     if args.data:
-        raw = np.loadtxt(args.data, delimiter=",", comments="#", ndmin=2)
+        try:
+            raw = np.loadtxt(args.data, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise PreconditionError(f"--data {args.data} is not a numeric CSV: {exc}") from None
+        if raw.size == 0:
+            raise PreconditionError(f"--data {args.data} has no data row")
         vec = raw[0]
         if vec.shape[0] != spec.q:
             raise PreconditionError(f"data row has {vec.shape[0]} columns, expected q={spec.q}")
@@ -189,6 +203,7 @@ def cmd_limit_check(args) -> None:
     from . import exact, laws, sampling
 
     spec = _spec(args)
+    direction = _direction(args, spec.q)
     pc = phase.classify_point(spec, tol_class=args.tol_class)
     law = exact.magnetization_law(spec, args.N)
     draws = sampling.exact_sample(law, args.samples, args.seed)
@@ -202,7 +217,8 @@ def cmd_limit_check(args) -> None:
         target = laws.sextic_law(0.0)
         descriptor = "sextic T_N limit"
     else:
-        direction = np.asarray(args.project if args.project else [1.0] + [0.0] * (spec.q - 1))
+        if direction is None:
+            direction = np.eye(spec.q)[0]
         stat = np.array([r.w @ direction for r in rescaled])
         if pc.tag is PointTag.REGULAR:
             target = laws.gaussian_limit_regular(spec, point_class=pc).project(direction)
@@ -321,6 +337,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
     except (PreconditionError, TensorPottsError) as exc:
         sys.stderr.write(f"precondition violation: {exc}\n")
+        return EXIT_PRECONDITION
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return EXIT_PRECONDITION
     return 0
 

@@ -82,25 +82,15 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class MaximizerSet:
-    """All global maximizers of H, with the two orderings used downstream.
+    """All global maximizers of H.
 
-    ``s_values`` are the tied maximizers of f (one or two of them);
+    ``s_values`` are the tied maximizers of f (one or two of them, ascending);
     ``vectors`` expands to maximizers of H: permutations appear when h = 0 and
-    s > 0, and the uniform vector contributes once when s = 0.  The orderings
-    are index permutations of ``vectors``: ascending first coordinate and
-    ascending L^p norm (ties broken by position, so both are total).
+    s > 0, and the uniform vector contributes once when s = 0.
     """
 
     s_values: tuple
     vectors: tuple  # tuple of ndarray
-    ordering_by_first_coord: tuple
-    ordering_by_p_norm: tuple
-
-    def by_first_coord(self):
-        return [self.vectors[i] for i in self.ordering_by_first_coord]
-
-    def by_p_norm(self):
-        return [self.vectors[i] for i in self.ordering_by_p_norm]
 
 
 @dataclass(frozen=True)
@@ -309,12 +299,7 @@ def _maximizer_set(spec: ModelSpec, winners) -> MaximizerSet:
                 perm = np.full(q, base[1])
                 perm[r] = base[0]
                 vectors.append(perm)
-    first = np.array([v[0] for v in vectors])
-    pnorm = np.array([np.sum(v ** spec.p) for v in vectors])
-    order_first = tuple(int(i) for i in np.argsort(first, kind="stable"))
-    order_pnorm = tuple(int(i) for i in np.argsort(pnorm, kind="stable"))
-    return MaximizerSet(s_values=tuple(pt.s for pt in winners), vectors=tuple(vectors),
-                        ordering_by_first_coord=order_first, ordering_by_p_norm=order_pnorm)
+    return MaximizerSet(s_values=tuple(pt.s for pt in winners), vectors=tuple(vectors))
 
 
 def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
@@ -594,6 +579,8 @@ def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
         res_b = res_h = resolution
     else:
         res_b, res_h = resolution
+    if min(res_b, res_h) < 1:
+        raise DomainError(f"phase-diagram resolution must be >= 1, got {resolution}")
     betas = np.linspace(b_lo, b_hi, res_b)
     hs = np.linspace(h_lo, h_hi, res_h)
     tags = np.empty((res_h, res_b), dtype=object)

@@ -53,6 +53,8 @@ class RescaledSample:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

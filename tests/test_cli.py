@@ -214,11 +214,40 @@ class TestExitCodes:
                             lambda self, argv=None: args)
         assert cli.main(["landmarks", "--p", "4", "--q", "2"]) == 3
 
+    REGULAR = ["--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67"]
 
-def _modules_after(commands):
-    """Run CLI commands in a fresh interpreter; return its sys.modules names."""
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *REGULAR, "--N", "30", "--samples", "20", "--project", "1", "0"],
+        ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--project", "1", "0"],
+        ["simulate", *REGULAR, "--N", "30", "--samples", "20", "--seed", "-1"],
+        ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--seed", "-1"],
+        ["estimate", *REGULAR, "--param", "h", "--N", "30", "--simulate", "--seed", "-1"],
+        ["phase-diagram", "--p", "4", "--q", "2", "--beta-min", "0.3", "--beta-max", "1.2",
+         "--h-max", "0.5", "--resolution", "-2"],
+        ["phase-diagram", "--p", "4", "--q", "2", "--beta-min", "0.3", "--beta-max", "1.2",
+         "--h-max", "0.5", "--resolution", "0"],
+        ["exact", *REGULAR, "--N", "20", "--out", "{tmp}/missing/marginals.csv"],
+        ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/missing.csv"],
+        ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/words.csv"],
+        ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/empty.csv"],
+    ], ids=["simulate-project-length", "limit-check-project-length", "simulate-seed",
+            "limit-check-seed", "estimate-seed", "resolution-negative", "resolution-zero",
+            "out-missing-dir", "data-missing", "data-not-numeric", "data-empty"])
+    def test_bad_input_exits_two_without_traceback(self, capsys, tmp_path, argv):
+        (tmp_path / "words.csv").write_text("x1,x2,x3\nfirst,second,third\n")
+        (tmp_path / "empty.csv").write_text("# x1,x2,x3\n")
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and err.strip()
+
+
+def _modules_after(commands, imports=()):
+    """Run CLI commands in a fresh interpreter, after importing ``imports``;
+    return its sys.modules names."""
     script = (
         "import json, sys\n"
+        + "".join(f"import {name}\n" for name in imports) +
         "from tensorpotts.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
@@ -252,6 +281,23 @@ class TestImports:
         assert "tensorpotts.inference" in loaded
         assert "scipy.integrate" not in loaded
         assert "tensorpotts.laws" not in loaded
+
+    def test_laws_commands_skip_scipy_integrate(self, tmp_path):
+        loaded = _modules_after([
+            ["simulate", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67", "--N", "60",
+             "--samples", "50", "--project", "0.157", "0.396", "0.323",
+             "--out", str(tmp_path / "s.csv")],
+            ["limit-check", "--p", "4", "--q", "2", "--beta", "0.6666666666666666", "--h", "0",
+             "--N", "200", "--samples", "200"],
+            ["ci", "--p", "4", "--q", "3", "--beta", "1.3", "--h", "0", "--param", "h",
+             "--N", "100", "--simulate", "--method", "two_step"],
+        ])
+        assert (tmp_path / "s.csv.density.csv").exists()
+        assert {"tensorpotts.laws", "scipy.special"} <= loaded
+        assert "scipy.integrate" not in loaded
+        bare = _modules_after([], imports=["tensorpotts.laws"])
+        assert "tensorpotts.laws" in bare
+        assert "scipy.integrate" not in bare
 
     def test_every_public_name_imports(self):
         import tensorpotts

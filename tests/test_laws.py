@@ -396,6 +396,60 @@ def test_tilted_means_match_scalar_grid_law(degree, coef_high, tilts):
         assert abs(mean - law.mean()) <= 1e-12
 
 
+def _reference_grid_law(name, special43):
+    spec, pc = special43
+    if name == "quartic-0":
+        return quartic_law(spec, point_class=pc)
+    if name == "quartic-tilted":
+        return quartic_law(spec, 0.7, -0.4, pc)
+    if name == "sextic-0":
+        return sextic_law(0.0)
+    if name == "sextic-1.3":
+        return sextic_law(1.3)
+    if name == "hand-quartic":
+        return GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, 8.0)
+    return GridLaw("Tilted", lambda x: -x ** 6 / 6 - 2.0 * x * x - 3.0 * x, 5.0, n_points=2049)
+
+
+@pytest.mark.parametrize("name", ["quartic-0", "quartic-tilted", "sextic-0", "sextic-1.3",
+                                  "hand-quartic", "hand-sextic"])
+def test_grid_law_matches_scipy_simpson(name, special43):
+    # scipy's rules, with their unequal-spacing formulas, are the reference
+    from scipy.integrate import cumulative_simpson, simpson
+
+    law = _reference_grid_law(name, special43)
+    x, f = law.x, law.pdf_values
+    assert simpson(f, x=x) == pytest.approx(1.0, rel=1e-12)
+    ref_cdf = cumulative_simpson(f, x=x, initial=0.0)
+    assert np.max(np.abs(law.cdf_values - np.clip(ref_cdf / ref_cdf[-1], 0.0, 1.0))) <= 1e-12
+    second = simpson(f * x * x, x=x)
+    assert law.second_moment() == pytest.approx(second, rel=1e-12)
+    assert abs(law.mean() - simpson(f * x, x=x)) <= 1e-12 * math.sqrt(second)
+    # even nodes: composite-Simpson partial sums, one panel of two intervals at a time
+    panels = np.cumsum(f[:-2:2] + 4.0 * f[1::2] + f[2::2])
+    assert np.max(np.abs(law.cdf_values[2::2] - panels / panels[-1])) <= 1e-14
+
+
+def test_grid_law_cdf_exact_for_quadratic():
+    law = GridLaw("Quadratic", lambda x: np.log(3.0 + x + x * x), 1.0, n_points=9)
+
+    def antiderivative(x):
+        return 3.0 * x + x * x / 2.0 + x ** 3 / 3.0
+
+    mass = antiderivative(1.0) - antiderivative(-1.0)
+    x = law.x
+    assert np.max(np.abs(law.pdf_values - (3.0 + x + x * x) / mass)) <= 1e-14
+    assert np.max(np.abs(law.cdf_values - (antiderivative(x) - antiderivative(-1.0)) / mass)) <= 1e-14
+    # x f(x) is cubic, so Simpson integrates the mean exactly: (2/3) / (20/3)
+    assert law.mean() == pytest.approx(0.1, abs=1e-15)
+    assert law.normalization_error <= 1e-15
+
+
+def test_grid_law_needs_odd_half_grid():
+    with pytest.raises(DomainError):
+        GridLaw("T", lambda x: -x * x, 1.0, n_points=7)
+
+
 def _scalar_oracle(law, scalar_mean):
     """The composed law rebuilt with one scalar grid law per tilt."""
     def tilted_mean(ts):

@@ -101,17 +101,6 @@ class TestFullMaximizerSet:
         ms = full_maximizer_set(ModelSpec(4, 3, 0.616, 0.67))
         assert len(ms.vectors) == 1
 
-    def test_orderings_are_permutations(self):
-        bc = compute_beta_c(7, 5)
-        ms = full_maximizer_set(ModelSpec(7, 5, bc, 0.0))
-        n = len(ms.vectors)
-        assert sorted(ms.ordering_by_first_coord) == list(range(n))
-        assert sorted(ms.ordering_by_p_norm) == list(range(n))
-        firsts = [v[0] for v in ms.by_first_coord()]
-        assert firsts == sorted(firsts)
-        norms = [float(np.sum(v ** 7)) for v in ms.by_p_norm()]
-        assert norms == sorted(norms)
-
     def test_field_dominant_first_coordinate(self):
         for spec in (ModelSpec(4, 3, 0.9, 0.3), ModelSpec(7, 5, 1.2, 0.8)):
             for m in full_maximizer_set(spec).vectors:
