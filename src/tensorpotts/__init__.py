@@ -24,7 +24,9 @@ _EXPORTS = {
         "ExactLaw", "BProfile", "HProfile", "compositions_iter", "expect_functional",
         "expect_u1", "expect_up", "log_partition", "log_weight", "magnetization_law",
         "tail_prob"),
-    "sampling": ("ChainConfig", "RescaledSample", "exact_sample", "gibbs_chain", "rescale"),
+    "sampling": (
+        "ChainConfig", "RescaledSample", "RescaledSamples", "exact_sample", "gibbs_chain",
+        "rescale"),
     "laws": (
         "ComposedLaw", "GaussianSimplex", "GridLaw", "HalfNormalLaw",
         "MixtureGaussianSimplex", "MixtureLaw", "NormalLaw", "ScalarLaw", "bhat_limit",

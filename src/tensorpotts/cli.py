@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -43,6 +44,15 @@ def _direction(args, q: int):
     if len(args.project) != q:
         raise DomainError(f"--project needs q={q} components, got {len(args.project)}")
     return np.asarray(args.project)
+
+
+def _check_draw_flags(args, min_samples=None) -> None:
+    """Reject a negative --seed, or fewer --samples than the command needs,
+    before any law is built."""
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    if min_samples is not None and args.samples < min_samples:
+        raise DomainError(f"--samples must be at least {min_samples}, got {args.samples}")
 
 
 def cmd_classify(args) -> None:
@@ -116,6 +126,7 @@ def cmd_exact(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    _check_draw_flags(args, min_samples=0)
     from . import exact, laws, sampling
 
     spec = _spec(args)
@@ -141,14 +152,17 @@ def cmd_simulate(args) -> None:
         density_out = args.out + ".density.csv"
         laws.density_table_csv(overlay, density_out)
     _emit({"tag": pc.tag.value, "n_samples": int(len(rescaled)),
-           "scale_exponent": rescaled[0].scale_exponent if rescaled else None,
+           "scale_exponent": rescaled.scale_exponent if rescaled else None,
            "out": args.out, "density_out": density_out})
 
 
 def _load_data_vector(args, spec: ModelSpec):
     if args.data:
         try:
-            raw = np.loadtxt(args.data, delimiter=",", comments="#", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is reported below, as a precondition violation
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                raw = np.loadtxt(args.data, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:
             raise PreconditionError(f"--data {args.data} is not a numeric CSV: {exc}") from None
         if raw.size == 0:
@@ -166,6 +180,7 @@ def _load_data_vector(args, spec: ModelSpec):
 
 
 def _estimate_payload(args, method: str) -> dict:
+    _check_draw_flags(args)
     from . import inference
 
     spec = _spec(args)
@@ -200,6 +215,8 @@ def cmd_ci(args) -> None:
 
 
 def cmd_limit_check(args) -> None:
+    # the KS distance needs at least one sample
+    _check_draw_flags(args, min_samples=1)
     from . import exact, laws, sampling
 
     spec = _spec(args)
@@ -209,17 +226,17 @@ def cmd_limit_check(args) -> None:
     draws = sampling.exact_sample(law, args.samples, args.seed)
     rescaled = sampling.rescale(draws, spec, pc, args.N)
     if pc.tag is PointTag.SPECIAL_TYPE_I:
-        stat = np.array([r.t_n for r in rescaled])
+        stat = rescaled.t_n
         target = laws.quartic_law(spec, point_class=pc)
         descriptor = "quartic T_N limit"
     elif pc.tag is PointTag.SPECIAL_TYPE_II:
-        stat = np.array([r.t_n for r in rescaled])
+        stat = rescaled.t_n
         target = laws.sextic_law(0.0)
         descriptor = "sextic T_N limit"
     else:
         if direction is None:
             direction = np.eye(spec.q)[0]
-        stat = np.array([r.w @ direction for r in rescaled])
+        stat = np.einsum("ij,j->i", rescaled.w, direction)
         if pc.tag is PointTag.REGULAR:
             target = laws.gaussian_limit_regular(spec, point_class=pc).project(direction)
             descriptor = "projected Gaussian limit"

@@ -9,13 +9,17 @@ chains independent by construction.
 ``rescale`` produces the scaled statistics whose limits the law module
 constructs: sqrt(N) deviations at regular/critical points, and the
 (T_N, V_N) split along u = (1-q, 1, ..., 1) at special points with exponent
-1/4 (type I) or 1/6 (type II).
+1/4 (type I) or 1/6 (type II).  It returns them as columns, one array per
+statistic, in a :class:`RescaledSamples`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +47,46 @@ class ChainConfig:
             raise DomainError("thin must be >= 1")
 
 
-@dataclass(frozen=True)
-class RescaledSample:
+class RescaledSample(NamedTuple):
+    """One row of :class:`RescaledSamples`."""
+
     raw: np.ndarray
     w: np.ndarray  # sqrt(N) * (xbar - m_nearest)
     t_n: float | None
     v_n: np.ndarray | None
     scale_exponent: float
+
+
+@dataclass(frozen=True, eq=False)
+class RescaledSamples:
+    """The rescaled statistics of M samples as columns.
+
+    ``raw`` and ``w`` are (M, q); at the special scalings ``t_n`` is (M,) and
+    ``v_n`` is (M, q), elsewhere both are None.  Indexing and iteration give
+    :class:`RescaledSample` rows, with ``t_n`` as a Python float.
+    """
+
+    raw: np.ndarray
+    w: np.ndarray
+    t_n: np.ndarray | None
+    v_n: np.ndarray | None
+    scale_exponent: float
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, i) -> RescaledSample:
+        return RescaledSample(
+            self.raw[i], self.w[i], None if self.t_n is None else float(self.t_n[i]),
+            None if self.v_n is None else self.v_n[i], self.scale_exponent)
+
+    def __iter__(self):
+        none = itertools.repeat(None)
+        t_n = none if self.t_n is None else self.t_n.tolist()
+        v_n = none if self.v_n is None else self.v_n
+        # tuple.__new__ skips the Python-level NamedTuple constructor per row
+        return map(functools.partial(tuple.__new__, RescaledSample), zip(
+            self.raw, self.w, t_n, v_n, itertools.repeat(self.scale_exponent)))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -139,8 +176,8 @@ _EXPONENTS = {
 }
 
 
-def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> list:
-    """Rescaled statistics per sample, with the exponent chosen by phase class.
+def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> RescaledSamples:
+    """Rescaled statistics of every sample, with the exponent chosen by phase class.
 
     Each sample is centered at the nearest maximizer (the basin conditioning
     used at critical points).  With exponent 1/4 or 1/6, the deviation splits
@@ -157,27 +194,28 @@ def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> list:
     sqrtn = math.sqrt(N)
     w = sqrtn * d
     if expo == 0.5:
-        return [RescaledSample(raw=x, w=wi, t_n=None, v_n=None, scale_exponent=expo)
-                for x, wi in zip(samples, w)]
+        return RescaledSamples(raw=samples, w=w, t_n=None, v_n=None, scale_exponent=expo)
     u = u_vector(spec.q)
     uu = float(u @ u)  # equals q(q-1)
     coef = (d * u).sum(axis=1) / uu
     t_n = N ** expo * coef
     v_n = sqrtn * (d - coef[:, None] * u)
-    return [RescaledSample(raw=x, w=wi, t_n=float(t), v_n=v, scale_exponent=expo)
-            for x, wi, t, v in zip(samples, w, t_n, v_n)]
+    return RescaledSamples(raw=samples, w=w, t_n=t_n, v_n=v_n, scale_exponent=expo)
 
 
-def write_samples_csv(path, rescaled, spec: ModelSpec, N: int, seed: int) -> None:
+def write_samples_csv(path, rescaled: RescaledSamples, spec: ModelSpec, N: int,
+                      seed: int) -> None:
     """One row per sample: x1..xq and, at special scalings, t_n and v_2..v_q.
 
-    The header comment carries the spec, N and seed for reproducibility.
+    The columns follow the scaling, so a special point with no samples still
+    gets the t_n and v columns in its header.  The header comment carries the
+    spec, N and seed for reproducibility.
     """
     q = spec.q
     cols = [f"x{r + 1}" for r in range(q)]
-    rows = (list(rs.raw) for rs in rescaled)
-    if rescaled and rescaled[0].t_n is not None:
+    table = rescaled.raw
+    if rescaled.t_n is not None:
         cols += ["t_n"] + [f"v_{r + 2}" for r in range(q - 1)]
-        rows = (list(rs.raw) + [rs.t_n] + list(rs.v_n[1:]) for rs in rescaled)
-    write_table(path, cols, rows,
+        table = np.column_stack([rescaled.raw, rescaled.t_n, rescaled.v_n[:, 1:]])
+    write_table(path, cols, table.tolist(),
                 comment=f"p={spec.p} q={q} beta={spec.beta!r} h={spec.h!r} N={N} seed={seed}")

@@ -95,6 +95,20 @@ class TestSimulate:
         header = out_file.read_text().splitlines()[1]
         assert header == "x1,x2,x3,t_n,v_2,v_3"
 
+    def test_zero_samples_keep_the_special_columns(self, capsys, tmp_path):
+        # the header follows the scaling, not the first row
+        from tensorpotts import compute_special_point
+
+        sp = compute_special_point(4, 3)
+        out_file = tmp_path / "sp.csv"
+        code, out = run_cli(capsys, "simulate", "--p", "4", "--q", "3",
+                            "--beta", repr(sp.beta_tilde), "--h", repr(sp.h_tilde),
+                            "--N", "150", "--samples", "0", "--out", str(out_file))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_samples"] == 0 and payload["scale_exponent"] is None
+        assert out_file.read_text().splitlines()[1:] == ["x1,x2,x3,t_n,v_2,v_3"]
+
 
 class TestEstimate:
     def test_simulated_estimate_schema(self, capsys):
@@ -193,6 +207,30 @@ class TestLimitCheck:
         assert payload["ks_distance"] < 0.05
         assert payload["pass"] is True
 
+    @pytest.mark.parametrize("point", [["--beta", "0.616", "--h", "0.67"],
+                                       ["--beta", "1.2", "--h", "0"]],
+                             ids=["regular", "weakly-critical"])
+    def test_projected_stat_matches_rows(self, capsys, monkeypatch, point):
+        from tensorpotts import laws, sampling
+
+        seen = {}
+        rescale, ks_distance = sampling.rescale, laws.ks_distance
+        monkeypatch.setattr(sampling, "rescale",
+                            lambda *a: seen.setdefault("rescaled", rescale(*a)))
+        monkeypatch.setattr(laws, "ks_distance",
+                            lambda stat, law: ks_distance(seen.setdefault("stat", stat), law))
+        project = ["0.157", "0.396", "0.323"]
+        code, out = run_cli(capsys, "limit-check", "--p", "4", "--q", "3", *point,
+                            "--N", "60", "--samples", "3000", "--seed", "5",
+                            "--project", *project)
+        assert code == 0 and json.loads(out)["n_samples"] == 3000
+        direction = np.array([float(v) for v in project])
+        rows = np.array([r.w @ direction for r in seen["rescaled"]])
+        # relative to the sum of |products|: w sums to zero, so the dot
+        # product cancels and its own value is no scale for rounding
+        scale = np.abs(seen["rescaled"].w) @ np.abs(direction)
+        assert np.all(np.abs(seen["stat"] - rows) <= 1e-15 * scale)
+
 
 class TestExitCodes:
     def test_precondition_violation(self, capsys):
@@ -233,13 +271,38 @@ class TestExitCodes:
     ], ids=["simulate-project-length", "limit-check-project-length", "simulate-seed",
             "limit-check-seed", "estimate-seed", "resolution-negative", "resolution-zero",
             "out-missing-dir", "data-missing", "data-not-numeric", "data-empty"])
-    def test_bad_input_exits_two_without_traceback(self, capsys, tmp_path, argv):
+    def test_bad_input_exits_two_without_traceback(self, capsys, recwarn, tmp_path, argv):
         (tmp_path / "words.csv").write_text("x1,x2,x3\nfirst,second,third\n")
         (tmp_path / "empty.csv").write_text("# x1,x2,x3\n")
         code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and err.strip()
+        if "{tmp}/empty.csv" in argv:
+            # no numpy warning ahead of the one message
+            assert not recwarn.list
+            assert err.startswith("precondition violation: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *REGULAR, "--N", "1000", "--seed", "-1"],
+        ["simulate", *REGULAR, "--N", "1000", "--samples", "-5"],
+        ["limit-check", *REGULAR, "--N", "1000", "--seed", "-1"],
+        ["limit-check", *REGULAR, "--N", "1000", "--samples", "-5"],
+        ["limit-check", *REGULAR, "--N", "1000", "--samples", "0"],
+        ["estimate", *REGULAR, "--param", "h", "--N", "1000", "--simulate", "--seed", "-1"],
+        ["ci", *REGULAR, "--param", "h", "--N", "1000", "--simulate", "--seed", "-1"],
+    ], ids=["simulate-seed", "simulate-samples", "limit-check-seed", "limit-check-samples",
+            "limit-check-no-samples", "estimate-seed", "ci-seed"])
+    def test_bad_draw_flags_rejected_before_the_law(self, capsys, monkeypatch, argv):
+        from tensorpotts import exact
+
+        def no_law(*args, **kwargs):
+            raise AssertionError("the law was built before the flags were checked")
+
+        monkeypatch.setattr(exact, "magnetization_law", no_law)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violation: --")
 
 
 def _modules_after(commands, imports=()):

@@ -21,7 +21,32 @@ from tensorpotts import (
     x_of_s,
 )
 from tensorpotts.errors import DomainError
-from tensorpotts.sampling import site_conditional, write_samples_csv
+from tensorpotts.sampling import RescaledSamples, site_conditional, write_samples_csv
+
+
+def rescale_rows(samples, spec, pc, N):
+    """Reference: the per-row formulas of the row-at-a-time rescale, as
+    (raw, w, t_n, v_n) tuples (t_n and v_n None at the sqrt(N) scalings)."""
+    expo = {"SpecialTypeI": 0.25, "SpecialTypeII": 1 / 6}.get(pc.tag.value, 0.5)
+    mats = np.stack(pc.witness.vectors, axis=0)
+    u = u_vector(spec.q)
+    uu = float(u @ u)
+    rows = []
+    for x in np.asarray(samples, dtype=float):
+        k = int(np.argmin(((x[None, :] - mats) ** 2).sum(axis=1)))
+        d = x - mats[k]
+        w = math.sqrt(N) * d
+        if expo == 0.5:
+            rows.append((x, w, None, None))
+        else:
+            coef = float(d @ u) / uu
+            rows.append((x, w, N ** expo * coef, math.sqrt(N) * (d - coef * u)))
+    return expo, rows
+
+
+def special_point(p, q):
+    sp = compute_special_point(p, q)
+    return ModelSpec(p, q, sp.beta_tilde, sp.h_tilde)
 
 
 class TestExactSampler:
@@ -181,6 +206,63 @@ class TestRescale:
         dists = [min(np.linalg.norm(r.raw - m) for m in pc.witness.vectors) for r in rs]
         for r, d in zip(rs, dists):
             assert np.linalg.norm(r.w) / math.sqrt(N) == pytest.approx(d, abs=1e-12)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("spec, N, tag", [
+        (ModelSpec(4, 3, 0.616, 0.67), 100, "Regular"),
+        (ModelSpec(4, 3, 1.2, 0.0), 60, "WeaklyCritical"),
+        (special_point(4, 3), 150, "SpecialTypeI"),
+        (ModelSpec(4, 2, 2 / 3, 0.0), 200, "SpecialTypeII"),
+    ], ids=["regular", "weakly-critical", "type-i", "type-ii"])
+    def test_columns_equal_per_row_formulas(self, spec, N, tag):
+        pc = classify_point(spec)
+        assert pc.tag.value == tag
+        draws = exact_sample(magnetization_law(spec, N), 2000, seed=3)
+        rs = rescale(draws, spec, pc, N)
+        expo, ref = rescale_rows(draws, spec, pc, N)
+        if tag == "WeaklyCritical":
+            # every one of the q basins is visited, so the nearest-maximizer
+            # choice is exercised
+            nearest = {int(np.argmax(r.raw)) for r in rs}
+            assert nearest == set(range(spec.q))
+        assert isinstance(rs, RescaledSamples)
+        assert rs.scale_exponent == expo and len(rs) == len(ref) == 2000
+        assert np.array_equal(rs.raw, np.array([r[0] for r in ref]))
+        assert np.array_equal(rs.w, np.array([r[1] for r in ref]))
+        if expo == 0.5:
+            assert rs.t_n is None and rs.v_n is None
+        else:
+            assert rs.t_n.shape == (2000,) and rs.v_n.shape == (2000, spec.q)
+            assert np.array_equal(rs.t_n, np.array([r[2] for r in ref]))
+            assert np.array_equal(rs.v_n, np.array([r[3] for r in ref]))
+        for i, row in enumerate(rs):
+            for got in (row, rs[i], rs[i - len(rs)]):
+                assert np.array_equal(got.raw, rs.raw[i]) and np.array_equal(got.w, rs.w[i])
+                assert got.scale_exponent == expo
+                if expo == 0.5:
+                    assert got.t_n is None and got.v_n is None
+                else:
+                    assert type(got.t_n) is float and got.t_n == rs.t_n[i]
+                    assert np.array_equal(got.v_n, rs.v_n[i])
+        with pytest.raises(IndexError):
+            rs[len(rs)]
+
+    @pytest.mark.parametrize("spec", [ModelSpec(4, 3, 0.616, 0.67), special_point(4, 3)],
+                             ids=["regular", "type-i"])
+    def test_no_samples(self, spec, tmp_path):
+        pc = classify_point(spec)
+        rs = rescale(np.empty((0, spec.q)), spec, pc, 100)
+        assert len(rs) == 0 and not rs and list(rs) == []
+        assert rs.raw.shape == rs.w.shape == (0, spec.q)
+        special = pc.tag.value == "SpecialTypeI"
+        assert (rs.t_n is not None) == (rs.v_n is not None) == special
+        if special:
+            assert rs.t_n.shape == (0,) and rs.v_n.shape == (0, spec.q)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, rs, spec, 100, seed=0)
+        header = "x1,x2,x3,t_n,v_2,v_3" if special else "x1,x2,x3"
+        assert path.read_text().splitlines()[1:] == [header]
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ import numpy as np
 from tensorpotts import ModelSpec, cli, phase
 from tensorpotts.laws import GridLaw, density_table_csv
 from tensorpotts.phase import CriticalCurveSample, curve_to_csv
-from tensorpotts.sampling import RescaledSample, write_samples_csv
+from tensorpotts.sampling import RescaledSamples, write_samples_csv
 
 CURVE = [CriticalCurveSample(0.1, 2.5, 1 / 3, 0.9),
          CriticalCurveSample(1e-300, 1.0, 0.0, 2 / 3),
@@ -89,14 +89,13 @@ def test_curve_to_csv(tmp_path):
 
 
 def test_samples_csv_header_and_columns(tmp_path):
-    plain = [RescaledSample(raw=x, w=x, t_n=None, v_n=None, scale_exponent=0.5) for x in RAW]
+    plain = RescaledSamples(raw=RAW, w=RAW, t_n=None, v_n=None, scale_exponent=0.5)
     path = tmp_path / "plain.csv"
     write_samples_csv(path, plain, ModelSpec(4, 3, 0.616, 0.67), 1000, 1)
     assert path.read_bytes() == SAMPLES_PLAIN_CSV.encode()
 
-    special = [RescaledSample(raw=x, w=x, t_n=-0.1 * (i + 1),
-                              v_n=np.array([0.0, 1e-5, -1e-5 / 3]), scale_exponent=0.25)
-               for i, x in enumerate(RAW)]
+    special = RescaledSamples(raw=RAW, w=RAW, t_n=np.array([-0.1 * (i + 1) for i in range(2)]),
+                              v_n=np.tile([0.0, 1e-5, -1e-5 / 3], (2, 1)), scale_exponent=0.25)
     path = tmp_path / "special.csv"
     write_samples_csv(path, special, ModelSpec(4, 3, 0.1 + 0.2, 0.0), 7, 42)
     assert path.read_bytes() == SAMPLES_SPECIAL_CSV.encode()
