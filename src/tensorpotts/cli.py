@@ -125,28 +125,49 @@ def cmd_exact(args) -> None:
            "support_size": int(len(law.log_probs)), "out": args.out})
 
 
+def _exact_draws(args, spec: ModelSpec, samples: int) -> np.ndarray:
+    """``samples`` rows drawn with --seed from the exact law at --N."""
+    from . import exact, sampling
+
+    return sampling.exact_sample(exact.magnetization_law(spec, args.N), samples, args.seed)
+
+
+def _rescaled_draws(args, spec: ModelSpec):
+    """The point's class and --samples exact draws rescaled to its limit scaling."""
+    from . import sampling
+
+    pc = phase.classify_point(spec, tol_class=args.tol_class)
+    return pc, sampling.rescale(_exact_draws(args, spec, args.samples), spec, pc, args.N)
+
+
+def _limit_law(spec: ModelSpec, pc, direction):
+    """(law, name) of the limit: the T_N law at the special points, else the
+    simplex law projected on ``direction`` ((None, None) without one)."""
+    from . import laws
+
+    if pc.tag is PointTag.SPECIAL_TYPE_I:
+        return laws.quartic_law(spec, point_class=pc), "quartic T_N limit"
+    if pc.tag is PointTag.SPECIAL_TYPE_II:
+        return laws.sextic_law(0.0), "sextic T_N limit"
+    if direction is None:
+        return None, None
+    if pc.tag is PointTag.REGULAR:
+        simplex_law, name = laws.gaussian_limit_regular, "projected Gaussian limit"
+    else:
+        simplex_law, name = laws.critical_mixture_law, "projected Gaussian-mixture limit"
+    return simplex_law(spec, point_class=pc).project(direction), name
+
+
 def cmd_simulate(args) -> None:
     _check_draw_flags(args, min_samples=0)
-    from . import exact, laws, sampling
+    from . import laws, sampling
 
     spec = _spec(args)
     direction = _direction(args, spec.q)
-    pc = phase.classify_point(spec, tol_class=args.tol_class)
-    law = exact.magnetization_law(spec, args.N)
-    draws = sampling.exact_sample(law, args.samples, args.seed)
-    rescaled = sampling.rescale(draws, spec, pc, args.N)
+    pc, rescaled = _rescaled_draws(args, spec)
     if args.out:
         sampling.write_samples_csv(args.out, rescaled, spec, args.N, args.seed)
-    overlay = None
-    if pc.tag is PointTag.REGULAR:
-        overlay = laws.gaussian_limit_regular(spec, point_class=pc).project(
-            direction) if direction is not None else None
-    elif pc.tag is PointTag.SPECIAL_TYPE_I:
-        overlay = laws.quartic_law(spec, point_class=pc)
-    elif pc.tag is PointTag.SPECIAL_TYPE_II:
-        overlay = laws.sextic_law(0.0)
-    elif direction is not None:
-        overlay = laws.critical_mixture_law(spec, point_class=pc).project(direction)
+    overlay, _ = _limit_law(spec, pc, direction)
     density_out = None
     if overlay is not None and args.out:
         density_out = args.out + ".density.csv"
@@ -172,10 +193,7 @@ def _load_data_vector(args, spec: ModelSpec):
             raise PreconditionError(f"data row has {vec.shape[0]} columns, expected q={spec.q}")
         return vec
     if args.simulate:
-        from . import exact, sampling
-
-        law = exact.magnetization_law(spec, args.N)
-        return sampling.exact_sample(law, 1, args.seed)[0]
+        return _exact_draws(args, spec, 1)[0]
     raise PreconditionError("provide --data FILE or --simulate")
 
 
@@ -217,32 +235,18 @@ def cmd_ci(args) -> None:
 def cmd_limit_check(args) -> None:
     # the KS distance needs at least one sample
     _check_draw_flags(args, min_samples=1)
-    from . import exact, laws, sampling
+    from . import laws
 
     spec = _spec(args)
     direction = _direction(args, spec.q)
-    pc = phase.classify_point(spec, tol_class=args.tol_class)
-    law = exact.magnetization_law(spec, args.N)
-    draws = sampling.exact_sample(law, args.samples, args.seed)
-    rescaled = sampling.rescale(draws, spec, pc, args.N)
-    if pc.tag is PointTag.SPECIAL_TYPE_I:
-        stat = rescaled.t_n
-        target = laws.quartic_law(spec, point_class=pc)
-        descriptor = "quartic T_N limit"
-    elif pc.tag is PointTag.SPECIAL_TYPE_II:
-        stat = rescaled.t_n
-        target = laws.sextic_law(0.0)
-        descriptor = "sextic T_N limit"
-    else:
-        if direction is None:
-            direction = np.eye(spec.q)[0]
+    if direction is None:
+        direction = np.eye(spec.q)[0]
+    pc, rescaled = _rescaled_draws(args, spec)
+    target, descriptor = _limit_law(spec, pc, direction)
+    # t_n is set exactly at the special points, whose laws are on T_N
+    stat = rescaled.t_n
+    if stat is None:
         stat = np.einsum("ij,j->i", rescaled.w, direction)
-        if pc.tag is PointTag.REGULAR:
-            target = laws.gaussian_limit_regular(spec, point_class=pc).project(direction)
-            descriptor = "projected Gaussian limit"
-        else:
-            target = laws.critical_mixture_law(spec, point_class=pc).project(direction)
-            descriptor = "projected Gaussian-mixture limit"
     ks = laws.ks_distance(stat, target)
     _emit({"ks_distance": ks, "pass": bool(ks <= args.ks_tol),
            "law": descriptor, "tag": pc.tag.value, "n_samples": int(len(stat))})

@@ -27,12 +27,13 @@ class ClassificationError(PreconditionError):
 
 
 class SupportSizeError(PreconditionError):
-    """The composition support exceeds the configured enumeration cap."""
+    """A support-sized array would need more bytes than the exact engine's
+    budget (``exact.SUPPORT_BYTES``); raised before anything is allocated."""
 
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"support has {count} compositions, exceeding the cap {cap}")
+    def __init__(self, needed: float, budget: int):
+        self.needed = needed
+        self.budget = budget
+        super().__init__(f"the support needs {needed:.3g} bytes, over the budget of {budget} bytes")
 
 
 class DegenerateIntervalError(PreconditionError):

@@ -41,9 +41,9 @@ from scipy.special import gammaln
 from .errors import DomainError, SupportSizeError
 from .model import ModelSpec
 
-# Default cap on the number of support points: keeps q = 3 at N = 1e4 feasible
-# and q = 2 at N = 1e5 trivial; q >= 4 callers must reduce N.
-DEFAULT_SUPPORT_CAP = 200_000_000
+# Bytes a call may keep in support-sized arrays: q = 3 at N = 1e4 (1.6 GB)
+# fits, (4, 4) at N = 1000 (6.7 GB) does not.
+SUPPORT_BYTES = 2 ** 31
 
 # Rows per enumeration block.
 BLOCK_ROWS = 1_000_000
@@ -56,17 +56,17 @@ def n_compositions(N: int, q: int) -> int:
     return math.comb(N + q - 1, q - 1)
 
 
-def check_cap(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP) -> int:
-    count = n_compositions(N, q)
-    if count > cap:
-        raise SupportSizeError(count, cap)
-    return count
-
-
-def _check_support(N: int, q: int, cap: int) -> int:
+def _check_support(N: int, q: int) -> None:
     if N < 1 or q < 2:
         raise DomainError("need N >= 1 and q >= 2")
-    return check_cap(N, q, cap)
+
+
+def _check_bytes(rows, row_bytes: int):
+    """Return ``rows`` if that many rows of ``row_bytes`` bytes fit in SUPPORT_BYTES,
+    else raise SupportSizeError; callers check before they allocate."""
+    if rows * row_bytes > SUPPORT_BYTES:
+        raise SupportSizeError(rows * row_bytes, SUPPORT_BYTES)
+    return rows
 
 
 def _weight_tables(p: int, N: int) -> tuple:
@@ -83,21 +83,23 @@ def _log_weights(spec: ModelSpec, N: int, block: np.ndarray, tables: tuple) -> n
     return lw
 
 
-def _ranges(rows: np.ndarray, block_rows: int):
-    """Consecutive index ranges [lo, hi) holding at most ``block_rows`` rows;
+def _ranges(rows: np.ndarray):
+    """Consecutive index ranges [lo, hi) holding at most ``BLOCK_ROWS`` rows;
     an index that alone holds more is a range of its own."""
     ends = np.cumsum(rows)
     lo = 0
     while lo < len(rows):
-        limit = ends[lo] - rows[lo] + block_rows
+        limit = ends[lo] - rows[lo] + BLOCK_ROWS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
         yield lo, hi
         lo = hi
 
 
 def _n_tails(rest: np.ndarray, parts: int) -> np.ndarray:
-    """Number of compositions of each entry of ``rest`` into ``parts`` parts."""
-    count = np.ones_like(rest)
+    """Number of compositions of each entry of ``rest`` into ``parts`` parts, as
+    float64: exact below 2**53, and a larger count, where int64 would wrap,
+    only has to compare as more than a block or the byte budget."""
+    count = np.ones(len(rest))
     for i in range(1, parts):
         count = count * (rest + i) // i
     return count
@@ -126,31 +128,30 @@ def _expand(prefix: tuple, lo: int, hi: int, rest: int, parts: int) -> np.ndarra
     return np.stack(cols + [left], axis=1)
 
 
-def composition_blocks(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP,
-                       block_rows: int = BLOCK_ROWS):
+def composition_blocks(N: int, q: int):
     """Yield the compositions of N into q parts as int64 blocks, lexicographic.
 
-    Each block holds at most ``block_rows`` rows.
+    Each block holds at most ``BLOCK_ROWS`` rows.
     """
-    _check_support(N, q, cap)
-    yield from _blocks(N, q, (), block_rows)
+    _check_support(N, q)
+    yield from _blocks(N, q, ())
 
 
-def _blocks(N, q, prefix, block_rows):
+def _blocks(N, q, prefix):
     rest = N - sum(prefix)
     parts = q - len(prefix)
     rows = _n_tails(rest - np.arange(rest + 1), parts - 1)
-    for lo, hi in _ranges(rows, block_rows):
-        if rows[lo] > block_rows:
+    for lo, hi in _ranges(rows):
+        if rows[lo] > BLOCK_ROWS:
             # one value of the next count overflows a block: split it by the count after
-            yield from _blocks(N, q, prefix + (lo,), block_rows)
+            yield from _blocks(N, q, prefix + (lo,))
         else:
             yield _expand(prefix, lo, hi, rest, parts)
 
 
-def compositions_iter(N: int, q: int, cap: int = DEFAULT_SUPPORT_CAP):
+def compositions_iter(N: int, q: int):
     """Stream each composition exactly once, lexicographically, as int64 rows."""
-    for block in composition_blocks(N, q, cap):
+    for block in composition_blocks(N, q):
         yield from block
 
 
@@ -188,9 +189,9 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _c1_log_profile(spec: ModelSpec, N: int, cap: int) -> np.ndarray:
+def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
     """h-free log-mass of c_1 = 0..N: log N! + g(c_1) + G_{q-1}(N - c_1)."""
-    _check_support(N, spec.q, cap)
+    _check_support(N, spec.q)
     lgam, xp, _ = _weight_tables(spec.p, N)
     g = spec.beta * N * xp - lgam
     others = g
@@ -199,33 +200,33 @@ def _c1_log_profile(spec: ModelSpec, N: int, cap: int) -> np.ndarray:
     return gammaln(N + 1) + g + others[::-1]
 
 
-def log_partition(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def log_partition(spec: ModelSpec, N: int) -> float:
     """log of q^N Z_N: the log-sum of exp(log_weight) over all compositions."""
-    lw = _c1_log_profile(spec, N, cap) + spec.h * np.arange(N + 1)
+    lw = _c1_log_profile(spec, N) + spec.h * np.arange(N + 1)
     top = lw.max()
     return float(top + math.log(np.exp(lw - top).sum()))
 
 
-def expect_u1(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def expect_u1(spec: ModelSpec, N: int) -> float:
     """u_{N,1}: exact expectation of the first magnetization coordinate."""
-    return HProfile(spec, N, cap).u1(spec.h)
+    return HProfile(spec, N).u1(spec.h)
 
 
-def expect_up(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def expect_up(spec: ModelSpec, N: int) -> float:
     """u_{N,p}: exact expectation of the p-norm statistic sum_r xbar_r^p."""
-    return expect_functional(spec, N, lambda x: np.sum(x ** spec.p, axis=1), cap)
+    return expect_functional(spec, N, lambda x: np.sum(x ** spec.p, axis=1))
 
 
-def expect_functional(spec: ModelSpec, N: int, g, cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def expect_functional(spec: ModelSpec, N: int, g) -> float:
     """Exact expectation of g(xbar); g maps a block of rows to a 1-D array.
 
     One streaming pass over the composition blocks with a running-max
     log-sum-exp, so N*H beyond the float exponent range is safe.
     """
-    _check_support(N, spec.q, cap)
+    _check_support(N, spec.q)
     tables = _weight_tables(spec.p, N)
     top, z, total = -np.inf, 0.0, 0.0
-    for block in composition_blocks(N, spec.q, cap):
+    for block in _blocks(N, spec.q, ()):
         lw = _log_weights(spec, N, block, tables)
         m = float(lw.max())
         if m > top:
@@ -237,8 +238,7 @@ def expect_functional(spec: ModelSpec, N: int, g, cap: int = DEFAULT_SUPPORT_CAP
     return total / z
 
 
-def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None,
-              cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None) -> float:
     """Exact P(d(Xbar, M) >= eps), M the set of global maximizers of H."""
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -252,7 +252,7 @@ def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None,
         d2 = ((x[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2).min(axis=1)
         return (d2 >= eps * eps).astype(float)
 
-    return expect_functional(spec, N, far, cap)
+    return expect_functional(spec, N, far)
 
 
 @dataclass(frozen=True)
@@ -314,14 +314,16 @@ class ExactLaw:
                    log_probs=arr["log_prob"].copy())
 
 
-def magnetization_law(spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP) -> ExactLaw:
-    """Materialize the exact law (support + normalized log-probabilities)."""
-    count = _check_support(N, spec.q, cap)
+def magnetization_law(spec: ModelSpec, N: int) -> ExactLaw:
+    """Materialize the exact law (support + normalized log-probabilities); the
+    int64 counts and float64 log-prob keep (q + 1) * 8 bytes per composition."""
+    _check_support(N, spec.q)
+    count = _check_bytes(n_compositions(N, spec.q), (spec.q + 1) * 8)
     tables = _weight_tables(spec.p, N)
     support = np.empty((count, spec.q), dtype=np.int64)
     lw = np.empty(count)
     pos = 0
-    for block in composition_blocks(N, spec.q, cap):
+    for block in _blocks(N, spec.q, ()):
         m = block.shape[0]
         support[pos:pos + m] = block
         lw[pos:pos + m] = _log_weights(spec, N, block, tables)
@@ -339,10 +341,10 @@ class HProfile:
     evaluation is an (N+1)-term reweighting.  Exact, not an approximation.
     """
 
-    def __init__(self, spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, spec: ModelSpec, N: int):
         self.spec = spec
         self.N = N
-        self._L = _c1_log_profile(spec, N, cap)
+        self._L = _c1_log_profile(spec, N)
         self._j = np.arange(N + 1)
         self._x1 = self._j / N
 
@@ -360,19 +362,20 @@ class BProfile:
     At fixed h the weight is symmetric in colours 2..q, so the support is one
     row per orbit (c_2 >= ... >= c_q); the beta-free log-weight of a row
     includes the log of its orbit size.  Each evaluation is a vectorized
-    reweighting over the orbits.
+    reweighting over the orbits; its two float64 columns keep 16 bytes per orbit.
     """
 
-    def __init__(self, spec: ModelSpec, N: int, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, spec: ModelSpec, N: int):
         self.spec = spec
         self.N = N
-        _check_support(N, spec.q, cap)
-        lgam, xp, x = _weight_tables(spec.p, N)
+        _check_support(N, spec.q)
         rows = _n_partitions(N, spec.q - 1)[::-1]  # orbits per value of c_1
-        self._rest = np.empty(int(rows.sum()))
+        count = _check_bytes(rows.sum(), 2 * 8)
+        lgam, xp, x = _weight_tables(spec.p, N)
+        self._rest = np.empty(int(count))
         self._pnorm = np.empty(len(self._rest))
         pos = 0
-        for lo, hi in _ranges(rows, BLOCK_ROWS):
+        for lo, hi in _ranges(rows):
             block = _orbit_block(N, spec.q, lo, hi)
             m = block.shape[0]
             self._rest[pos:pos + m] = (gammaln(N + 1) - lgam[block].sum(axis=1)
@@ -390,8 +393,8 @@ class BProfile:
 
 
 def _n_partitions(N: int, parts: int) -> np.ndarray:
-    """Number of partitions of n = 0..N into at most ``parts`` parts."""
-    count = np.ones(N + 1, dtype=np.int64)
+    """Number of partitions of n = 0..N into at most ``parts`` parts, float64 as in ``_n_tails``."""
+    count = np.ones(N + 1)
     for k in range(2, parts + 1):
         # p_k(n) = p_{k-1}(n) + p_k(n - k): a running sum along each residue mod k
         for r in range(k):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateIntervalError, DomainError, PreconditionError
-from .exact import DEFAULT_SUPPORT_CAP, BProfile, HProfile
+from .exact import BProfile, HProfile
 from .model import ModelSpec, as_prob_vector, f_deriv
 from .phase import (
     PointTag,
@@ -148,8 +148,7 @@ def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP)
 
 
 def mle_h(spec: ModelSpec, observed_x1: float, N: int,
-          profile: HProfile | None = None,
-          cap: int = DEFAULT_SUPPORT_CAP) -> EstimationResult:
+          profile: HProfile | None = None) -> EstimationResult:
     """ML estimate of h at known beta, from the observed first coordinate.
 
     Below u_{N,1}(beta, 0) the nonnegativity constraint is active and the
@@ -161,14 +160,13 @@ def mle_h(spec: ModelSpec, observed_x1: float, N: int,
     if not (0.0 <= observed_x1 <= 1.0):
         raise DomainError(f"observed_x1 must be in [0, 1], got {observed_x1}")
     if profile is None:
-        profile = HProfile(spec, N, cap)
+        profile = HProfile(spec, N)
     return _estimation_result(
         observed_x1, *_solve_increasing(profile.u1, profile.moments, observed_x1))
 
 
 def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
-             profile: BProfile | None = None,
-             cap: int = DEFAULT_SUPPORT_CAP) -> EstimationResult:
+             profile: BProfile | None = None) -> EstimationResult:
     """ML estimate of beta at known h, from the observed p-norm statistic.
 
     The uniform-magnetization value q^(1-p) (attainable when q divides N)
@@ -180,7 +178,7 @@ def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
         raise DomainError(
             f"observed p-norm must lie in [q^(1-p), 1] = [{q ** (1 - p)}, 1], got {observed_pnorm}")
     if profile is None:
-        profile = BProfile(spec, N, cap)
+        profile = BProfile(spec, N)
     return _estimation_result(
         observed_pnorm, *_solve_increasing(profile.up, profile.moments, observed_pnorm))
 

@@ -133,15 +133,15 @@ def _falling_factorial(p: int, n: int) -> float:
     return out
 
 
-def _k_scalar(spec: ModelSpec, x: float, order: int) -> float:
-    if x <= 0:
-        raise DomainError("k derivatives require x > 0")
+def _k_terms(spec: ModelSpec, x, order: int, log):
+    """k^(n)(x) at x > 0, with ``log`` math.log for a float x (no numpy call)
+    and np.log for an array."""
     p = spec.p
     poly = spec.beta * _falling_factorial(p, order) * x ** (p - order) if order <= p else 0.0
     if order == 0:
-        ent = x * math.log(x)
+        ent = x * log(x)
     elif order == 1:
-        ent = math.log(x) + 1.0
+        ent = log(x) + 1.0
     else:
         ent = (-1.0) ** order * math.factorial(order - 2) * x ** (1 - order)
     return poly - ent
@@ -156,20 +156,14 @@ def k_deriv(spec: ModelSpec, x, order: int):
     if not (0 <= order <= MAX_DERIV_ORDER):
         raise DomainError(f"derivative order must be 0..{MAX_DERIV_ORDER}, got {order}")
     if isinstance(x, (float, int)):
-        return _k_scalar(spec, float(x), order)
+        if x <= 0:
+            raise DomainError("k derivatives require x > 0")
+        return _k_terms(spec, float(x), order, math.log)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("k derivatives require x > 0")
-    p = spec.p
-    poly = spec.beta * _falling_factorial(p, order) * x ** (p - order) if order <= p else np.zeros_like(x)
-    if order == 0:
-        ent = x * np.log(x)
-    elif order == 1:
-        ent = np.log(x) + 1.0
-    else:
-        ent = (-1.0) ** order * math.factorial(order - 2) * x ** (1 - order)
-    out = poly - ent
-    return float(out) if out.ndim == 0 else out
+    out = _k_terms(spec, x, order, np.log)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _ray_coefs(q: int, order: int):
@@ -187,31 +181,30 @@ def f_deriv(spec: ModelSpec, s, order: int):
     """
     if not (0 <= order <= MAX_DERIV_ORDER):
         raise DomainError(f"derivative order must be 0..{MAX_DERIV_ORDER}, got {order}")
-    q = spec.q
-    coef_a, coef_b = _ray_coefs(q, order)
     if isinstance(s, (float, int)):
-        s = float(s)
         if s < 0 or s > 1.0 - BOUNDARY_DELTA:
             raise DomainError(f"s must lie in [0, 1 - {BOUNDARY_DELTA}]")
-        a = (1.0 + (q - 1.0) * s) / q
-        b = (1.0 - s) / q
-        val = coef_a * _k_scalar(spec, a, order) + coef_b * _k_scalar(spec, b, order)
-        if order == 0:
-            return val + spec.h * a
-        if order == 1:
-            return val + spec.h * (q - 1.0) / q
-        return val
+        return _f_terms(spec, float(s), order, math.log)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0) or np.any(s > 1.0 - BOUNDARY_DELTA):
         raise DomainError(f"s must lie in [0, 1 - {BOUNDARY_DELTA}]")
+    val = _f_terms(spec, s, order, np.log)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _f_terms(spec: ModelSpec, s, order: int, log):
+    """f^(n)(s) for s in [0, 1 - BOUNDARY_DELTA], where both ray coordinates
+    are positive; ``log`` as in ``_k_terms``."""
+    q = spec.q
+    coef_a, coef_b = _ray_coefs(q, order)
     a = (1.0 + (q - 1.0) * s) / q
     b = (1.0 - s) / q
-    val = coef_a * k_deriv(spec, a, order) + coef_b * k_deriv(spec, b, order)
+    val = coef_a * _k_terms(spec, a, order, log) + coef_b * _k_terms(spec, b, order, log)
     if order == 0:
-        val = val + spec.h * a
-    elif order == 1:
-        val = val + spec.h * (q - 1.0) / q
-    return float(val) if np.ndim(val) == 0 else val
+        return val + spec.h * a
+    if order == 1:
+        return val + spec.h * (q - 1.0) / q
+    return val
 
 
 def f_beta_deriv(spec: ModelSpec, s, order: int):

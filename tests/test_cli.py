@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestExact:
         assert len(lines) == 42
         pmf = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
         assert np.allclose(pmf.sum(axis=0), 1.0, atol=1e-10)
+
+    def test_support_over_budget_exits_two(self, capsys):
+        import tensorpotts.exact  # noqa: F401  (the import is not what is timed)
+
+        t0 = time.perf_counter()
+        code = main(["exact", "--p", "4", "--q", "4", "--beta", "0.6", "--h", "0.5",
+                     "--N", "1000"])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("precondition violation: the support needs") and err.count("\n") == 1
 
 
 class TestSimulate:
@@ -130,6 +142,16 @@ class TestEstimate:
                             "--N", "150", "--data", str(data))
         assert code == 0
         assert json.loads(out)["observed_statistic"] == 0.52
+
+    def test_q4_estimate_beyond_the_full_support(self, capsys, tmp_path):
+        # C(2003, 3) = 1.3e9 compositions: the h profile never builds them
+        data = tmp_path / "x.csv"
+        data.write_text("0.4,0.2,0.2,0.2\n")
+        code, out = run_cli(capsys, "estimate", "--p", "4", "--q", "4",
+                            "--beta", "0.6", "--h", "0.5", "--param", "h",
+                            "--N", "2000", "--data", str(data))
+        assert code == 0
+        assert json.loads(out)["converged"] is True
 
     def test_missing_data_is_precondition_error(self, capsys):
         code, _ = run_cli(capsys, "estimate", "--p", "4", "--q", "3",

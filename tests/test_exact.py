@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from tensorpotts import (
     magnetization_law,
     tail_prob,
 )
-from tensorpotts.exact import BProfile, HProfile, composition_blocks, n_compositions
+from tensorpotts import exact
+from tensorpotts.exact import (
+    SUPPORT_BYTES,
+    BProfile,
+    HProfile,
+    _n_partitions,
+    composition_blocks,
+    n_compositions,
+)
+from tensorpotts.inference import mle_h
 from tensorpotts.errors import DomainError, SupportSizeError
 from scipy.special import gammaln
 
@@ -57,15 +67,39 @@ class TestCompositions:
         assert len(rows) == n_compositions(5, 4)
         assert rows == sorted(set(rows))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the byte budget: (q + 1) * 8 bytes per composition, 16 per orbit of colours 2..q
+        spec = ModelSpec(4, 3, 0.6, 0.5)
+        law_bytes = n_compositions(100, 3) * 4 * 8
+        orbit_bytes = int(_n_partitions(100, 2).sum()) * 16
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", law_bytes)
+        assert len(magnetization_law(spec, 100).log_probs) == n_compositions(100, 3)
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", law_bytes - 1)
+        with pytest.raises(SupportSizeError) as err:
+            magnetization_law(spec, 100)
+        assert (err.value.needed, err.value.budget) == (law_bytes, law_bytes - 1)
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", orbit_bytes)
+        BProfile(spec, 100)
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", orbit_bytes - 1)
         with pytest.raises(SupportSizeError):
-            list(compositions_iter(100, 3, cap=10))
+            BProfile(spec, 100)
+
+    def test_first_block_beyond_int64_counts(self):
+        # C(2009, 9) = 1.3e23 compositions: the streaming paths have no size check,
+        # so the row counts that split the blocks must not wrap
+        block = next(composition_blocks(2000, 10))
+        assert 0 < len(block) <= exact.BLOCK_ROWS
+        assert np.array_equal(block[0], [0] * 9 + [2000])
+        assert np.all(block.sum(axis=1) == 2000)
+        step = np.diff(block, axis=0)  # strictly increasing: first nonzero step > 0
+        assert np.all(step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0)
 
     @pytest.mark.parametrize("N,q,block_rows", [(6, 2, 1), (7, 3, 1), (7, 3, 4), (5, 4, 3),
                                                 (5, 4, 20), (4, 5, 2), (4, 5, 11)])
-    def test_small_blocks_match_product(self, N, q, block_rows):
+    def test_small_blocks_match_product(self, N, q, block_rows, monkeypatch):
         # block_rows below the rows of one leading count forces the split by the next count
-        blocks = list(composition_blocks(N, q, block_rows=block_rows))
+        monkeypatch.setattr(exact, "BLOCK_ROWS", block_rows)
+        blocks = list(composition_blocks(N, q))
         assert all(0 < len(b) <= block_rows for b in blocks)
         expected = [c for c in itertools.product(range(N + 1), repeat=q) if sum(c) == N]
         assert [tuple(r) for r in np.concatenate(blocks)] == expected
@@ -307,3 +341,31 @@ def test_collapsed_b_profile_matches_full_support(p, q, N, beta, h):
     _, up, var = _oracle_moments(spec, N, lambda x: np.sum(x ** p, axis=1))
     mean, got_var = BProfile(spec, N).moments(beta)
     assert abs(mean - up) <= 1e-12 and abs(got_var - var) <= 1e-10
+
+
+class TestSupportBudget:
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_convolution_paths_reach_large_n(self, q):
+        # no support is kept: the c_1 profile and the MLE are O(N) at any q
+        N = 2000
+        spec = ModelSpec(4, q, 0.6, 0.5)
+        assert log_partition(spec.with_params(beta=0.0, h=0.0), N) == pytest.approx(
+            N * math.log(q), rel=1e-12)
+        est = mle_h(spec, HProfile(spec, N).u1(0.5), N)
+        assert est.converged and not est.boundary
+        assert est.estimate == pytest.approx(0.5, abs=1e-9)
+        assert math.isfinite(log_partition(spec, N))
+
+    @pytest.mark.parametrize("build,q,N", [(magnetization_law, 4, 1000),
+                                           (magnetization_law, 10, 2000),
+                                           (BProfile, 10, 2000)],
+                             ids=["law-4-1000", "law-10-2000", "BProfile-10-2000"])
+    def test_over_budget_raises_before_allocating(self, build, q, N):
+        # (4, 4) at N = 1000 needs 6.7 GB of support; at (4, 10), N = 2000 the
+        # orbit and composition counts are beyond int64
+        t0 = time.perf_counter()
+        with pytest.raises(SupportSizeError) as err:
+            build(ModelSpec(4, q, 0.6, 0.5), N)
+        assert time.perf_counter() - t0 < 1.0
+        assert err.value.budget == SUPPORT_BYTES < err.value.needed
+        assert "\n" not in str(err.value)
