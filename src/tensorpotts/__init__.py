@@ -5,7 +5,7 @@ distributions at regular/critical/special points, and maximum-likelihood
 inference with asymptotically valid confidence sets.
 
 Public names load their module on first access (PEP 562), so importing the
-package, or the phase layer alone, does not pay for scipy.
+package, or the phase layer alone, does not load the other layers.
 """
 
 import importlib

@@ -17,8 +17,8 @@ import warnings
 
 import numpy as np
 
-# The phase-only commands need no more than this; the other layers (and
-# scipy with them) are imported inside the commands that use them.
+# The phase-only commands need no more than this; the other layers are
+# imported inside the commands that use them.
 from . import phase
 from .errors import DomainError, NonConvergenceError, PreconditionError, TensorPottsError
 from .model import ModelSpec

@@ -12,9 +12,9 @@ Each per-colour term is a lookup in one of three tables over c = 0..N
 * compositions (C(N+q-1, q-1) of them, never the q^N configurations), in
   lexicographic blocks built without Python loops over rows.
   ``magnetization_law`` keeps the full support, which inversion sampling and
-  the marginals need; ``expect_up``, ``expect_functional`` and ``tail_prob``
-  stream over the blocks with a running-max log-sum-exp, so N*H beyond the
-  float exponent range is safe;
+  the marginals need; ``expect_functional`` and ``tail_prob`` stream over
+  the blocks with a running-max log-sum-exp, so N*H beyond the float
+  exponent range is safe;
 * the colour profile of c_1.  The weight factorises over colours, so the
   h-free log-mass of c_1 = j is log N! + g(j) + G_{q-1}(N - j), with
   g(c) = -log c! + beta N (c/N)^p and G_{q-1} the (q-1)-fold log-semiring
@@ -22,7 +22,8 @@ Each per-colour term is a lookup in one of three tables over c = 0..N
   reweight these N+1 values;
 * orbits of colours 2..q, whose permutations leave the weight at fixed h
   unchanged.  ``BProfile`` keeps one row per orbit (c_2 >= ... >= c_q) and
-  adds the log of the orbit size to its beta-free weight.
+  adds the log of the orbit size to its beta-free weight; ``expect_up``
+  reweights these rows.
 
 So each maximum-likelihood Newton step is one reweighting that yields the
 expectation and its derivative together.
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
 
 from .errors import DomainError, SupportSizeError
 from .model import ModelSpec
@@ -70,15 +70,15 @@ def _check_bytes(rows, row_bytes: int):
 
 
 def _weight_tables(p: int, N: int) -> tuple:
-    """(log c!, (c/N)^p, c/N) for c = 0..N: the per-colour terms of a weight."""
-    c = np.arange(N + 1)
-    x = c / N
-    return gammaln(c + 1), x ** p, x
+    """(log c!, (c/N)^p, c/N) for c = 0..N: the per-colour terms of a weight;
+    log c! is ``math.lgamma``, within a few ulps of the exact value."""
+    x = np.arange(N + 1) / N
+    return np.fromiter(map(math.lgamma, range(1, N + 2)), float, N + 1), x ** p, x
 
 
 def _log_weights(spec: ModelSpec, N: int, block: np.ndarray, tables: tuple) -> np.ndarray:
     lgam, xp, x = tables
-    lw = gammaln(N + 1) - lgam[block].sum(axis=1)
+    lw = math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
     lw += N * (spec.beta * xp[block].sum(axis=1) + spec.h * x[block[:, 0]])
     return lw
 
@@ -197,7 +197,7 @@ def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
     others = g
     for _ in range(spec.q - 2):
         others = _log_convolve(others, g)
-    return gammaln(N + 1) + g + others[::-1]
+    return math.lgamma(N + 1.0) + g + others[::-1]
 
 
 def log_partition(spec: ModelSpec, N: int) -> float:
@@ -214,7 +214,7 @@ def expect_u1(spec: ModelSpec, N: int) -> float:
 
 def expect_up(spec: ModelSpec, N: int) -> float:
     """u_{N,p}: exact expectation of the p-norm statistic sum_r xbar_r^p."""
-    return expect_functional(spec, N, lambda x: np.sum(x ** spec.p, axis=1))
+    return BProfile(spec, N).up(spec.beta)
 
 
 def expect_functional(spec: ModelSpec, N: int, g) -> float:
@@ -378,7 +378,7 @@ class BProfile:
         for lo, hi in _ranges(rows):
             block = _orbit_block(N, spec.q, lo, hi)
             m = block.shape[0]
-            self._rest[pos:pos + m] = (gammaln(N + 1) - lgam[block].sum(axis=1)
+            self._rest[pos:pos + m] = (math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
                                        + N * spec.h * x[block[:, 0]]
                                        + _log_orbit_size(block[:, 1:]))
             self._pnorm[pos:pos + m] = xp[block].sum(axis=1)
@@ -429,7 +429,7 @@ def _log_orbit_size(tail: np.ndarray) -> np.ndarray:
     for k in range(1, tail.shape[1]):
         run = np.where(tail[:, k] == tail[:, k - 1], run + 1.0, 1.0)
         log_runs += np.log(run)
-    return gammaln(tail.shape[1] + 1) - log_runs
+    return math.lgamma(tail.shape[1] + 1.0) - log_runs
 
 
 def _tilted_moments(base: np.ndarray, tilt: np.ndarray, stat: np.ndarray, N: int) -> tuple:

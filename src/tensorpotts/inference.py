@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateIntervalError, DomainError, PreconditionError
 from .exact import BProfile, HProfile
@@ -105,6 +105,10 @@ def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP)
     most ROOT_STOP_TOL, or the bracket is narrower than that, so a flat u
     still gets an accurate root.
 
+    The lower boundary 0 is the root, flagged as a boundary estimate, when
+    u(0) reaches the observation within that same stop test, so the decision
+    does not hinge on the last bit of u(0).
+
     Both statistics have supremum 1, where the MLE is +inf: an observation
     of 1 is solved to exact equality, which returns a finite point where u
     has saturated to 1 in double precision, flagged as a boundary estimate.
@@ -112,10 +116,11 @@ def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP)
     Returns (root, iterations, bracket, converged, boundary, residual); the
     residual |u(root) - observed| comes from the evaluation at the root.
     """
-    u_lo = value(0.0)
-    if u_lo >= observed:
-        return 0.0, 0, (0.0, 0.0), True, True, u_lo - observed
     at_sup = observed >= 1.0
+    tol = 0.0 if at_sup else ROOT_STOP_TOL
+    u_lo, du_lo = moments(0.0)
+    if u_lo - observed >= -tol * min(1.0, du_lo):
+        return 0.0, 0, (0.0, 0.0), True, True, abs(u_lo - observed)
     lo, hi, iters = 0.0, 1.0, 0
     while (u_hi := value(hi)) < observed:
         lo, u_lo = hi, u_hi
@@ -124,7 +129,6 @@ def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP)
         if hi > cap:
             return hi, iters, (lo, hi), False, at_sup, math.nan
     bracket = (lo, hi)
-    tol = 0.0 if at_sup else ROOT_STOP_TOL
     x = 0.5 * (lo + hi)
     step = hi - lo
     while iters < MAX_ROOT_ITERATIONS:
@@ -206,6 +210,12 @@ def _plugin_curvature(spec: ModelSpec, beta_slot: float, data_x: np.ndarray) -> 
     return -f2
 
 
+def _z_quantile(alpha: float) -> float:
+    """z_{1-alpha/2} of the standard normal (AS241); +inf when 1 - alpha/2 rounds to 1."""
+    u = 1.0 - alpha / 2.0
+    return NormalDist().inv_cdf(u) if u < 1.0 else math.inf
+
+
 def ci_h(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
          estimate: EstimationResult | None = None,
          profile: HProfile | None = None) -> ConfidenceSet:
@@ -220,7 +230,7 @@ def ci_h(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
         estimate = mle_h(spec, float(data_x[0]), N, profile=profile)
     q = spec.q
     curv = _plugin_curvature(spec, spec.beta, data_x)
-    z = ndtri(1.0 - alpha / 2.0)
+    z = _z_quantile(alpha)
     half = (q / (q - 1.0)) * math.sqrt(curv / N) * z
     return ConfidenceSet(interval=(estimate.estimate - half, estimate.estimate + half),
                          level=1.0 - alpha, method="plain")
@@ -248,7 +258,7 @@ def ci_beta(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
         raise DegenerateIntervalError(
             "xbar_1^{p-1} - xbar_2^{p-1} is below 1e-9; interval degenerate")
     curv = _plugin_curvature(spec, estimate.estimate, data_x)
-    z = ndtri(1.0 - alpha / 2.0)
+    z = _z_quantile(alpha)
     half = q * math.sqrt(curv / N) / denom * z
     return ConfidenceSet(interval=(estimate.estimate - half, estimate.estimate + half),
                          level=1.0 - alpha, method="plain")

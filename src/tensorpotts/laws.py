@@ -11,7 +11,11 @@ Scalar laws come in a few families:
 * composed estimator laws whose cdf at t evaluates the mean of a t-tilted
   member of the family and feeds it through the zero-tilt cdf (the means of
   all tilts come from one blocked Simpson quadrature, ``_tilted_means``);
-* chi-square laws, exact through the incomplete gamma function.
+* chi-square laws, exact through the incomplete gamma function (the one
+  path that imports scipy, when it is used).
+
+The normal cdf is Cody's rational erf/erfc approximation evaluated in numpy,
+and the normal quantile is AS241 from ``statistics.NormalDist``.
 
 Vector laws are Gaussians supported on the zero-sum hyperplane (rank q-1), or
 mixtures of permuted copies at critical points, or the rank-(q-2) covariance
@@ -26,9 +30,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import ClassificationError, DomainError
 from .model import ModelSpec, f_deriv, k_deriv, sigma_matrix, sigma_ratio, u_vector, x_of_s
@@ -161,6 +165,88 @@ class GridLaw(ScalarLaw):
                               "n": int(len(self.x))}}
 
 
+# Cody (1969) rational approximations, as in the cephes ``ndtr``:
+# erf(x) = x T(x^2)/U(x^2) for |x| < 1, erfc(x) = exp(-x^2) P(x)/Q(x) for
+# 1 <= x < 8 and exp(-x^2) R(x)/S(x) beyond; highest degree first.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_MID = (  # (P, Q) for 1 <= z < 8
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2))
+_ERFC_FAR = (  # (R, S) for z >= 8
+    (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
+    (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0))
+
+
+def _polyval(x, coefs: tuple):
+    """Horner's rule, highest degree first, for a float or an array (in place)."""
+    out = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr_center(a):
+    """0.5 + 0.5 erf(a) for |a| < 1."""
+    a2 = a * a
+    return 0.5 + 0.5 * (a * _polyval(a2, _ERF_T) / _polyval(a2, _ERF_U))
+
+
+def _half_erfc(z, rational: tuple):
+    """0.5 erfc(z) for z >= 1, with the (numerator, denominator) pair for z."""
+    return 0.5 * np.exp(-z * z) * (_polyval(z, rational[0]) / _polyval(z, rational[1]))
+
+
+def _ndtr(x):
+    """Standard normal cdf, elementwise, at x = a sqrt(2): 0.5 + 0.5 erf(a)
+    for |a| < 1, else 0.5 erfc(|a|) reflected.  An array evaluates each branch
+    on its own entries only; a scalar takes the same operations in order, so
+    it gets the same bits.  exp(-a^2) underflows long before |a| = 40, so
+    the tail argument is clamped there, which keeps inf out of the rationals."""
+    a = np.asarray(x, dtype=float) * math.sqrt(0.5)
+    if a.ndim == 0:
+        a = float(a)
+        if abs(a) < 1.0:
+            return np.float64(_ndtr_center(a))
+        z = min(abs(a), 40.0)
+        half = _half_erfc(z, _ERFC_MID if z < 8.0 else _ERFC_FAR)
+        return 1.0 - half if a > 0 else half
+    z = np.abs(a)
+    out = np.empty_like(a)
+    near = z < 1.0
+    out[near] = _ndtr_center(a[near])
+    far = ~near
+    zf = np.minimum(z[far], 40.0)
+    mid = zf < 8.0
+    half = np.empty_like(zf)
+    half[mid] = _half_erfc(zf[mid], _ERFC_MID)
+    half[~mid] = _half_erfc(zf[~mid], _ERFC_FAR)
+    out[far] = np.where(a[far] > 0, 1.0 - half, half)
+    return out
+
+
+_STD_NORMAL = NormalDist()
+
+
+def _ndtri(u):
+    """Standard normal quantile by AS241 (``statistics.NormalDist``), elementwise;
+    u = 0 and u = 1 give -inf and +inf, u outside [0, 1] nan."""
+    u = np.asarray(u, dtype=float)
+    out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, np.nan))
+    inner = (u > 0.0) & (u < 1.0)
+    out[inner] = [_STD_NORMAL.inv_cdf(v) for v in u[inner].tolist()]
+    return out[()]
+
+
 class NormalLaw(ScalarLaw):
     kind = "Normal"
 
@@ -176,7 +262,7 @@ class NormalLaw(ScalarLaw):
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
+        return _ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def mean(self) -> float:
         return self.mu
@@ -185,7 +271,7 @@ class NormalLaw(ScalarLaw):
         return self.variance
 
     def quantile(self, u):
-        return self.mu + self.sigma * ndtri(u)
+        return self.mu + self.sigma * _ndtri(u)
 
     def sample(self, n, seed):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -219,8 +305,8 @@ class HalfNormalLaw(ScalarLaw):
         x = np.asarray(x, dtype=float)
         z = x / self.sigma
         if self.sign > 0:
-            return np.where(x < 0, 0.0, 2.0 * ndtr(z) - 1.0)
-        return np.where(x >= 0, 1.0, 2.0 * ndtr(z))
+            return np.where(x < 0, 0.0, 2.0 * _ndtr(z) - 1.0)
+        return np.where(x >= 0, 1.0, 2.0 * _ndtr(z))
 
     def mean(self) -> float:
         return self.sign * self.sigma * math.sqrt(2.0 / math.pi)
@@ -230,8 +316,8 @@ class HalfNormalLaw(ScalarLaw):
 
     def quantile(self, u):
         if self.sign > 0:
-            return self.sigma * ndtri(0.5 * (1.0 + u))
-        return self.sigma * ndtri(0.5 * u)
+            return self.sigma * _ndtri(0.5 * (1.0 + u))
+        return self.sigma * _ndtri(0.5 * u)
 
     def sample(self, n, seed):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -470,6 +556,8 @@ class ChiSquareLaw(ScalarLaw):
         self.dof = int(dof)
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         return gammainc(0.5 * self.dof, 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def mean(self) -> float:
@@ -479,6 +567,8 @@ class ChiSquareLaw(ScalarLaw):
         return 2.0 * self.dof
 
     def quantile(self, u):
+        from scipy.special import gammaincinv
+
         return 2.0 * gammaincinv(0.5 * self.dof, u)
 
     def params(self):
@@ -799,6 +889,8 @@ def gamma1_weight(spec: ModelSpec) -> float:
     the threshold its mean (q-1) a: gamma_1 = P(chi^2_{q-1} <= q-1) for every
     p and beta.
     """
+    from scipy.special import gammainc
+
     half_dof = 0.5 * (spec.q - 1)
     return float(gammainc(half_dof, half_dof))
 

@@ -327,11 +327,12 @@ class TestExitCodes:
         assert err.startswith("precondition violation: --")
 
 
-def _modules_after(commands, imports=()):
-    """Run CLI commands in a fresh interpreter, after importing ``imports``;
-    return its sys.modules names."""
+def _modules_after(commands, imports=(), block=()):
+    """Run CLI commands in a fresh interpreter, after importing ``imports``
+    with the packages in ``block`` made unimportable; return its sys.modules names."""
     script = (
         "import json, sys\n"
+        + "".join(f"sys.modules[{name!r}] = None\n" for name in block)
         + "".join(f"import {name}\n" for name in imports) +
         "from tensorpotts.cli import main\n"
         f"for argv in {commands!r}:\n"
@@ -378,11 +379,29 @@ class TestImports:
              "--N", "100", "--simulate", "--method", "two_step"],
         ])
         assert (tmp_path / "s.csv.density.csv").exists()
-        assert {"tensorpotts.laws", "scipy.special"} <= loaded
-        assert "scipy.integrate" not in loaded
+        assert "tensorpotts.laws" in loaded
+        assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
         bare = _modules_after([], imports=["tensorpotts.laws"])
         assert "tensorpotts.laws" in bare
         assert "scipy.integrate" not in bare
+
+    def test_engine_and_law_commands_run_without_scipy(self, tmp_path):
+        loaded = _modules_after([
+            ["exact", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67", "--N", "30",
+             "--out", str(tmp_path / "m.csv")],
+            ["simulate", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67", "--N", "60",
+             "--samples", "50", "--project", "0.157", "0.396", "0.323",
+             "--out", str(tmp_path / "s.csv")],
+            ["estimate", "--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67",
+             "--param", "h", "--N", "60", "--simulate"],
+            ["ci", "--p", "4", "--q", "3", "--beta", "1.3", "--h", "0", "--param", "h",
+             "--N", "100", "--simulate", "--method", "two_step"],
+            ["limit-check", "--p", "4", "--q", "2", "--beta", "0.6666666666666666", "--h", "0",
+             "--N", "200", "--samples", "200"],
+        ], imports=["tensorpotts.exact", "tensorpotts.inference", "tensorpotts.laws"],
+            block=["scipy"])
+        assert (tmp_path / "m.csv").exists() and (tmp_path / "s.csv.density.csv").exists()
+        assert {"tensorpotts.exact", "tensorpotts.inference", "tensorpotts.laws"} <= loaded
 
     def test_every_public_name_imports(self):
         import tensorpotts

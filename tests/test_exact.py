@@ -160,13 +160,14 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("p,q,beta,h,N", [(4, 3, 0.9, 0.4, 60), (2, 2, 1.3, 0.1, 200),
                                               (4, 4, 0.6, 0.2, 40), (3, 5, 1.1, 0.7, 15)])
-    def test_log_probs_bit_identical_to_gammaln_formula(self, p, q, beta, h, N):
+    def test_log_probs_bit_identical_to_lgamma_formula(self, p, q, beta, h, N):
         law = magnetization_law(ModelSpec(p, q, beta, h), N)
         support = np.array([c for c in itertools.product(range(N + 1), repeat=q)
                             if sum(c) == N]) if q <= 3 else law.support
         assert np.array_equal(law.support, support)
         x = support / N
-        lw = gammaln(N + 1) - gammaln(support + 1).sum(axis=1)
+        log_fact = np.array([math.lgamma(c + 1.0) for c in range(N + 1)])
+        lw = math.lgamma(N + 1.0) - log_fact[support].sum(axis=1)
         lw += N * (beta * np.sum(x ** p, axis=1) + h * x[:, 0])
         top = lw.max()
         assert np.array_equal(law.log_probs, lw - (top + math.log(np.exp(lw - top).sum())))
@@ -343,6 +344,17 @@ def test_collapsed_b_profile_matches_full_support(p, q, N, beta, h):
     assert abs(mean - up) <= 1e-12 and abs(got_var - var) <= 1e-10
 
 
+def test_log_factorials_match_mpmath():
+    import mpmath
+
+    log_fact = exact._weight_tables(2, 10 ** 5)[0]
+    ks = np.unique(np.concatenate([np.arange(40), [10 ** 5],
+                                   rng(5).integers(40, 10 ** 5, 400)]))
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.loggamma(int(k) + 1)) for k in ks])
+    assert np.all(np.abs(log_fact[ks] - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
 class TestSupportBudget:
     @pytest.mark.parametrize("q", [4, 5])
     def test_convolution_paths_reach_large_n(self, q):
@@ -369,3 +381,10 @@ class TestSupportBudget:
         assert time.perf_counter() - t0 < 1.0
         assert err.value.budget == SUPPORT_BYTES < err.value.needed
         assert "\n" not in str(err.value)
+
+    def test_expect_up_over_budget_raises_at_once(self):
+        # 4.2e10 compositions, 28 GB of orbit rows
+        t0 = time.perf_counter()
+        with pytest.raises(SupportSizeError):
+            expect_up(ModelSpec(4, 5, 0.6, 0.5), 1000)
+        assert time.perf_counter() - t0 < 1.0

@@ -710,6 +710,35 @@ def test_quantile_inside_an_atom_is_the_atom():
     assert law.quantile(0.5) == 0.0 and len(calls) == 1
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    from tensorpotts.laws import _ndtr
+
+    x = np.concatenate([np.linspace(-37.0, 8.3, 200_001),
+                        np.random.default_rng(3).uniform(-37.0, 8.3, 100_000)])
+    ref = ndtr(x)
+    got = _ndtr(x)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    # a scalar runs the same operations as an array entry
+    assert all(_ndtr(v) == g for v, g in zip(x[::997], got[::997]))
+    assert _ndtr(0.0) == 0.5 and np.array_equal(_ndtr([-np.inf, np.inf]), [0.0, 1.0])
+
+
+def test_normal_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri
+
+    from tensorpotts.laws import _ndtri
+
+    u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 20_001),
+                        np.random.default_rng(4).uniform(1e-6, 1.0 - 1e-6, 20_000)])
+    ref = ndtri(u)
+    # AS241 and ndtri each sit a few ulp from mpmath, and up to 7 ulp apart
+    assert np.all(np.abs(_ndtri(u) - ref) <= 8 * np.spacing(np.abs(ref)))
+    assert _ndtri(0.975) == 1.9599639845400536
+    assert np.array_equal(_ndtri([0.0, 1.0]), [-np.inf, np.inf])
+
+
 class TestKsDistance:
     def test_exact_quantiles_give_small_ks(self):
         law = NormalLaw(0.0, 1.0)
