@@ -21,9 +21,8 @@ _EXPORTS = {
         "critical_curve", "find_stationary_points", "full_maximizer_set",
         "global_maximizers_1d", "phase_diagram"),
     "exact": (
-        "ExactLaw", "BProfile", "HProfile", "compositions_iter", "expect_functional",
-        "expect_u1", "expect_up", "log_partition", "log_weight", "magnetization_law",
-        "tail_prob"),
+        "ExactLaw", "BProfile", "HProfile", "colour_marginals", "expect_u1", "expect_up",
+        "log_partition", "magnetization_law", "tail_prob"),
     "sampling": (
         "ChainConfig", "RescaledSample", "RescaledSamples", "exact_sample", "gibbs_chain",
         "rescale"),

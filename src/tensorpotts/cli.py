@@ -111,18 +111,19 @@ def cmd_exact(args) -> None:
     from . import exact
 
     spec = _spec(args)
-    law = exact.magnetization_law(spec, args.N)
-    u1 = float(law.probs() @ (law.support[:, 0] / args.N))
-    up = float(law.probs() @ np.sum((law.support / args.N) ** spec.p, axis=1))
+    pmf1, pmf_rest = exact.colour_marginals(spec, args.N)
+    x = np.arange(args.N + 1) / args.N
+    xp = x ** spec.p
+    u1 = float(np.einsum("i,i", pmf1, x))
+    up = float(np.einsum("i,i", pmf1, xp) + (spec.q - 1) * np.einsum("i,i", pmf_rest, xp))
     if args.out:
-        grid, _ = law.marginal(0)
-        pmfs = [law.marginal(r)[1] for r in range(spec.q)]
         cols = ["x"] + [f"pmf_x{r + 1}" for r in range(spec.q)]
-        rows = [(float(x),) + tuple(float(p[i]) for p in pmfs) for i, x in enumerate(grid)]
+        rows = [(float(v), float(a)) + (float(b),) * (spec.q - 1)
+                for v, a, b in zip(x, pmf1, pmf_rest)]
         write_table(args.out, cols, rows, args.format)
     _emit({"u_N1": u1, "u_Np": up,
            "log_partition": exact.log_partition(spec, args.N),
-           "support_size": int(len(law.log_probs)), "out": args.out})
+           "support_size": exact.n_compositions(args.N, spec.q), "out": args.out})
 
 
 def _exact_draws(args, spec: ModelSpec, samples: int) -> np.ndarray:

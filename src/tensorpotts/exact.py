@@ -9,30 +9,32 @@ unnormalized log-weights
 Each per-colour term is a lookup in one of three tables over c = 0..N
 (log c!, (c/N)^p, c/N), and three forms of the support share them:
 
-* compositions (C(N+q-1, q-1) of them, never the q^N configurations), in
-  lexicographic blocks built without Python loops over rows.
-  ``magnetization_law`` keeps the full support, which inversion sampling and
-  the marginals need; ``expect_functional`` and ``tail_prob`` stream over
-  the blocks with a running-max log-sum-exp, so N*H beyond the float
-  exponent range is safe;
 * the colour profile of c_1.  The weight factorises over colours, so the
   h-free log-mass of c_1 = j is log N! + g(j) + G_{q-1}(N - j), with
-  g(c) = -log c! + beta N (c/N)^p and G_{q-1} the (q-1)-fold log-semiring
+  g(c) = -log c! + beta N (c/N)^p and G_k the k-fold log-semiring
   convolution of g.  ``HProfile``, ``log_partition`` and ``expect_u1``
-  reweight these N+1 values;
+  reweight these N+1 values.  At fixed h colours 2..q are exchangeable, so
+  they share one marginal, g(j) + [(g + h id) * G_{q-2}](N - j); with the
+  h-tilted c_1 profile it gives ``colour_marginals`` at any N;
 * orbits of colours 2..q, whose permutations leave the weight at fixed h
-  unchanged.  ``BProfile`` keeps one row per orbit (c_2 >= ... >= c_q) and
-  adds the log of the orbit size to its beta-free weight; ``expect_up``
-  reweights these rows.
+  unchanged.  One row per orbit (c_2 >= ... >= c_q) carries the log of the
+  orbit size in its weight.  ``BProfile`` and ``expect_up`` reweight these
+  rows, and ``tail_prob`` sums them, since the distance to a maximizer set
+  closed under those permutations is constant on each orbit;
+* compositions (C(N+q-1, q-1) of them, never the q^N configurations), in
+  lexicographic blocks built without Python loops over rows.  Their one
+  consumer is ``magnetization_law``, which keeps the full support for
+  inversion sampling.
 
-So each maximum-likelihood Newton step is one reweighting that yields the
-expectation and its derivative together.
+The orbit rows and the full support are checked against one byte budget,
+``SUPPORT_BYTES``, before they are built.  Each maximum-likelihood Newton
+step is one profile reweighting that yields the expectation and its
+derivative together.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,25 +151,6 @@ def _blocks(N, q, prefix):
             yield _expand(prefix, lo, hi, rest, parts)
 
 
-def compositions_iter(N: int, q: int):
-    """Stream each composition exactly once, lexicographically, as int64 rows."""
-    for block in composition_blocks(N, q):
-        yield from block
-
-
-def log_weight(spec: ModelSpec, N: int, counts) -> np.ndarray:
-    """Unnormalized log-mass of a composition (or a block of them)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    single = counts.ndim == 1
-    block = counts[None, :] if single else counts
-    if block.shape[1] != spec.q:
-        raise DomainError(f"composition has {block.shape[1]} parts, expected q={spec.q}")
-    if np.any(block < 0) or np.any(block.sum(axis=1) != N):
-        raise DomainError("composition entries must be >= 0 and sum to N")
-    lw = _log_weights(spec, N, block, _weight_tables(spec.p, N))
-    return float(lw[0]) if single else lw
-
-
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[n] = log sum_{j <= n} exp(a[j] + b[n - j]) for n = 0..len(a)-1.
 
@@ -189,22 +172,47 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
-    """h-free log-mass of c_1 = 0..N: log N! + g(c_1) + G_{q-1}(N - c_1)."""
+def _colour_convolutions(spec: ModelSpec, N: int) -> tuple:
+    """(g, G_{q-2}, G_{q-1}) over c = 0..N, with g(c) = -log c! + beta N (c/N)^p
+    and G_k = G_{k-1} * g; G_{q-2} is None at q = 2, where G_0 is the unit."""
     _check_support(N, spec.q)
     lgam, xp, _ = _weight_tables(spec.p, N)
     g = spec.beta * N * xp - lgam
-    others = g
+    below, others = None, g
     for _ in range(spec.q - 2):
-        others = _log_convolve(others, g)
+        below, others = others, _log_convolve(others, g)
+    return g, below, others
+
+
+def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
+    """h-free log-mass of c_1 = 0..N: log N! + g(c_1) + G_{q-1}(N - c_1)."""
+    g, _, others = _colour_convolutions(spec, N)
     return math.lgamma(N + 1.0) + g + others[::-1]
 
 
 def log_partition(spec: ModelSpec, N: int) -> float:
-    """log of q^N Z_N: the log-sum of exp(log_weight) over all compositions."""
+    """log of q^N Z_N: the log-sum of the weights of all compositions."""
     lw = _c1_log_profile(spec, N) + spec.h * np.arange(N + 1)
     top = lw.max()
     return float(top + math.log(np.exp(lw - top).sum()))
+
+
+def colour_marginals(spec: ModelSpec, N: int) -> tuple:
+    """(pmf of c_1, pmf of each of c_2..c_q) over c = 0..N, at any N.
+
+    Colour 1's log-mass is the h-tilted c_1 profile, g(j) + h j + G_{q-1}(N - j).
+    Colours 2..q are exchangeable at fixed h and share
+    g(j) + [(g + h id) * G_{q-2}](N - j); at q = 2 that is colour 1 reversed.
+    """
+    g, below, others = _colour_convolutions(spec, N)
+    tilted = g + spec.h * np.arange(N + 1)
+    shared = tilted if below is None else _log_convolve(tilted, below)
+    return _normalized(tilted + others[::-1]), _normalized(g + shared[::-1])
+
+
+def _normalized(log_mass: np.ndarray) -> np.ndarray:
+    w = np.exp(log_mass - log_mass.max())
+    return w / w.sum()
 
 
 def expect_u1(spec: ModelSpec, N: int) -> float:
@@ -217,29 +225,14 @@ def expect_up(spec: ModelSpec, N: int) -> float:
     return BProfile(spec, N).up(spec.beta)
 
 
-def expect_functional(spec: ModelSpec, N: int, g) -> float:
-    """Exact expectation of g(xbar); g maps a block of rows to a 1-D array.
-
-    One streaming pass over the composition blocks with a running-max
-    log-sum-exp, so N*H beyond the float exponent range is safe.
-    """
-    _check_support(N, spec.q)
-    tables = _weight_tables(spec.p, N)
-    top, z, total = -np.inf, 0.0, 0.0
-    for block in _blocks(N, spec.q, ()):
-        lw = _log_weights(spec, N, block, tables)
-        m = float(lw.max())
-        if m > top:
-            scale = math.exp(top - m)
-            z, total, top = z * scale, total * scale, m
-        e = np.exp(lw - top)
-        z += float(e.sum())
-        total += float(np.einsum("i,i", g(tables[2][block]), e))
-    return total / z
-
-
 def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None) -> float:
-    """Exact P(d(Xbar, M) >= eps), M the set of global maximizers of H."""
+    """Exact P(d(Xbar, M) >= eps), M the set of global maximizers of H.
+
+    Every maximizer set of H is closed under permutations of colours 2..q,
+    so d(xbar, M) is constant on each orbit of those colours and the sum runs
+    over the orbit rows; a ``maximizers`` set that is not closed raises
+    DomainError.  The float64 log-weight and the far flag keep 9 bytes per orbit.
+    """
     if eps <= 0:
         raise DomainError("eps must be positive")
     if maximizers is None:
@@ -247,12 +240,30 @@ def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None) -> float:
 
         maximizers = full_maximizer_set(spec).vectors
     mats = np.stack([np.asarray(m, dtype=float) for m in maximizers], axis=0)
-
-    def far(x):
-        d2 = ((x[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        return (d2 >= eps * eps).astype(float)
-
-    return expect_functional(spec, N, far)
+    if mats.shape[1] != spec.q:
+        raise DomainError(f"maximizers need q={spec.q} components, got {mats.shape[1]}")
+    for r in range(1, spec.q - 1):
+        # swaps of neighbouring colours r, r+1 >= 2 generate the permutations of 2..q
+        swapped = mats.copy()
+        swapped[:, [r, r + 1]] = mats[:, [r + 1, r]]
+        if not (swapped[:, None, :] == mats[None, :, :]).all(axis=2).any(axis=1).all():
+            raise DomainError("maximizers must be closed under permutations of colours 2..q")
+    count, blocks = _orbit_blocks(spec, N, 8 + 1)
+    lw = np.empty(count)
+    far = np.empty(count, dtype=bool)
+    pos = 0
+    for block, base, pnorm in blocks:
+        m = len(block)
+        x = block / N
+        d2 = np.full(m, np.inf)
+        for v in mats:
+            np.minimum(d2, ((x - v) ** 2).sum(axis=1), out=d2)
+        lw[pos:pos + m] = base + pnorm * (N * spec.beta)
+        far[pos:pos + m] = d2 >= eps * eps
+        pos += m
+    lw -= lw.max()
+    np.exp(lw, out=lw)
+    return float(lw.sum(where=far) / lw.sum())
 
 
 @dataclass(frozen=True)
@@ -274,49 +285,13 @@ class ExactLaw:
     def magnetizations(self) -> np.ndarray:
         return self.support / self.N
 
-    def marginal(self, coord: int):
-        """(values j/N, pmf) of a single magnetization coordinate."""
-        if not (0 <= coord < self.q):
-            raise DomainError(f"coordinate must be 0..{self.q - 1}")
-        pmf = np.bincount(self.support[:, coord], weights=self.probs(),
-                          minlength=self.N + 1)
-        return np.arange(self.N + 1) / self.N, pmf
-
-    def mean(self) -> np.ndarray:
-        return np.einsum("i,ij->j", self.probs(), self.magnetizations())
-
-    def save(self, path) -> None:
-        """Binary dump: little-endian header (N, q, count as int64) followed by
-        count packed records of q int32 counts and one float64 log-prob."""
-        rec = np.dtype([("counts", "<i4", (self.q,)), ("log_prob", "<f8")])
-        arr = np.empty(len(self.log_probs), dtype=rec)
-        arr["counts"] = self.support.astype(np.int32)
-        arr["log_prob"] = self.log_probs
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<qqq", self.N, self.q, len(arr)))
-            fh.write(arr.tobytes())
-
-    @classmethod
-    def load(cls, path, spec: ModelSpec) -> "ExactLaw":
-        with open(path, "rb") as fh:
-            header = fh.read(24)
-            if len(header) != 24:
-                raise DomainError(f"dump header has {len(header)} of 24 bytes")
-            N, q, count = struct.unpack("<qqq", header)
-            if q != spec.q:
-                raise DomainError(f"dump has q={q}, spec has q={spec.q}")
-            rec = np.dtype([("counts", "<i4", (q,)), ("log_prob", "<f8")])
-            body = fh.read()
-        if len(body) != count * rec.itemsize:
-            raise DomainError(f"dump body has {len(body)} bytes, not {count} x {rec.itemsize}")
-        arr = np.frombuffer(body, dtype=rec)
-        return cls(spec=spec, N=N, support=arr["counts"].astype(np.int64),
-                   log_probs=arr["log_prob"].copy())
-
 
 def magnetization_law(spec: ModelSpec, N: int) -> ExactLaw:
     """Materialize the exact law (support + normalized log-probabilities); the
-    int64 counts and float64 log-prob keep (q + 1) * 8 bytes per composition."""
+    int64 counts and float64 log-prob keep (q + 1) * 8 bytes per composition.
+
+    The one consumer of the full support: inversion sampling needs it.
+    """
     _check_support(N, spec.q)
     count = _check_bytes(n_compositions(N, spec.q), (spec.q + 1) * 8)
     tables = _weight_tables(spec.p, N)
@@ -368,20 +343,14 @@ class BProfile:
     def __init__(self, spec: ModelSpec, N: int):
         self.spec = spec
         self.N = N
-        _check_support(N, spec.q)
-        rows = _n_partitions(N, spec.q - 1)[::-1]  # orbits per value of c_1
-        count = _check_bytes(rows.sum(), 2 * 8)
-        lgam, xp, x = _weight_tables(spec.p, N)
-        self._rest = np.empty(int(count))
-        self._pnorm = np.empty(len(self._rest))
+        count, blocks = _orbit_blocks(spec, N, 2 * 8)
+        self._rest = np.empty(count)
+        self._pnorm = np.empty(count)
         pos = 0
-        for lo, hi in _ranges(rows):
-            block = _orbit_block(N, spec.q, lo, hi)
-            m = block.shape[0]
-            self._rest[pos:pos + m] = (math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
-                                       + N * spec.h * x[block[:, 0]]
-                                       + _log_orbit_size(block[:, 1:]))
-            self._pnorm[pos:pos + m] = xp[block].sum(axis=1)
+        for block, base, pnorm in blocks:
+            m = len(block)
+            self._rest[pos:pos + m] = base
+            self._pnorm[pos:pos + m] = pnorm
             pos += m
 
     def moments(self, beta: float) -> tuple:
@@ -400,6 +369,28 @@ def _n_partitions(N: int, parts: int) -> np.ndarray:
         for r in range(k):
             count[r::k] = np.cumsum(count[r::k])
     return count
+
+
+def _orbit_blocks(spec: ModelSpec, N: int, row_bytes: int) -> tuple:
+    """(number of orbit rows, iterator over their blocks), once ``row_bytes``
+    bytes per row are checked against SUPPORT_BYTES; no row is built before.
+
+    A block is (rows, base, pnorm): rows (c_1, c_2 >= ... >= c_q), their
+    beta-free log-weight with the log of the orbit size, and sum_r (c_r/N)^p.
+    """
+    _check_support(N, spec.q)
+    rows = _n_partitions(N, spec.q - 1)[::-1]  # orbits per value of c_1
+    count = int(_check_bytes(rows.sum(), row_bytes))
+    lgam, xp, x = _weight_tables(spec.p, N)
+
+    def blocks():
+        for lo, hi in _ranges(rows):
+            block = _orbit_block(N, spec.q, lo, hi)
+            base = (math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
+                    + N * spec.h * x[block[:, 0]] + _log_orbit_size(block[:, 1:]))
+            yield block, base, xp[block].sum(axis=1)
+
+    return count, blocks()
 
 
 def _orbit_block(N: int, q: int, lo: int, hi: int) -> np.ndarray:

@@ -3,6 +3,9 @@
 Everything here is deliberately independent of the library's production code
 paths: finite differences instead of closed-form derivatives, configuration
 enumeration instead of composition enumeration, mpmath instead of float64.
+The full-support oracles read the compositions from ``composition_blocks``
+and weigh them by the explicit lgamma formula, not by the library's tables,
+profiles or orbits.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from tensorpotts import ModelSpec
+from tensorpotts.exact import composition_blocks
 
 
 def trapezoid(y, x) -> float:
@@ -33,6 +37,53 @@ def brute_force_log_partition(spec: ModelSpec, N: int) -> float:
         logs.append(N * (spec.beta * float(np.sum(x ** spec.p)) + spec.h * float(x[0])))
     top = max(logs)
     return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def support(N: int, q: int) -> np.ndarray:
+    """Every composition of N into q parts, lexicographic, as one int64 array."""
+    return np.concatenate(list(composition_blocks(N, q)))
+
+
+def log_weights(spec: ModelSpec, N: int, counts) -> np.ndarray:
+    """Unnormalized log-weights of a block of compositions:
+    log N! - sum_r log c_r! + N (beta sum_r (c_r/N)^p + h c_1/N)."""
+    counts = np.asarray(counts)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    x = counts / N
+    return (math.lgamma(N + 1.0) - log_fact[counts].sum(axis=1)
+            + N * (spec.beta * np.sum(x ** spec.p, axis=1) + spec.h * x[:, 0]))
+
+
+def law_marginal(law, coord: int) -> np.ndarray:
+    """pmf over 0..N of one colour count of an ExactLaw, by bincount over its support."""
+    return np.bincount(law.support[:, coord], weights=law.probs(), minlength=law.N + 1)
+
+
+def stream_expectation(spec: ModelSpec, N: int, stat) -> float:
+    """E stat(xbar) in one streaming pass over the composition blocks, with a
+    running-max log-sum-exp; ``stat`` maps a block of rows to a 1-D array."""
+    top, z, total = -np.inf, 0.0, 0.0
+    for block in composition_blocks(N, spec.q):
+        lw = log_weights(spec, N, block)
+        m = float(lw.max())
+        if m > top:
+            scale = math.exp(top - m)
+            z, total, top = z * scale, total * scale, m
+        e = np.exp(lw - top)
+        z += float(e.sum())
+        total += float(np.einsum("i,i", stat(block / N), e))
+    return total / z
+
+
+def stream_tail_prob(spec: ModelSpec, N: int, eps: float, maximizers) -> float:
+    """P(d(xbar, M) >= eps) by streaming every composition."""
+    mats = np.asarray(maximizers, dtype=float)
+
+    def far(x):
+        d2 = ((x[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        return (d2 >= eps * eps).astype(float)
+
+    return stream_expectation(spec, N, far)
 
 
 def mp_free_energy(spec: ModelSpec, v, dps: int = 60) -> float:

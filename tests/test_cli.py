@@ -12,6 +12,8 @@ import pytest
 from tensorpotts.cli import main
 from tensorpotts.errors import NonConvergenceError
 
+from conftest import log_weights, support
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -64,16 +66,58 @@ class TestExact:
         pmf = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
         assert np.allclose(pmf.sum(axis=0), 1.0, atol=1e-10)
 
-    def test_support_over_budget_exits_two(self, capsys):
+    def test_support_beyond_budget_exits_zero(self, capsys, tmp_path):
+        # 1.7e8 compositions: the marginals come from the colour profile, not the support
         import tensorpotts.exact  # noqa: F401  (the import is not what is timed)
 
+        out_file = tmp_path / "m.csv"
         t0 = time.perf_counter()
-        code = main(["exact", "--p", "4", "--q", "4", "--beta", "0.6", "--h", "0.5",
-                     "--N", "1000"])
+        code, out = run_cli(capsys, "exact", "--p", "4", "--q", "4", "--beta", "0.6",
+                            "--h", "0.5", "--N", "1000", "--out", str(out_file))
         assert time.perf_counter() - t0 < 1.0
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("precondition violation: the support needs") and err.count("\n") == 1
+        assert code == 0
+        assert json.loads(out)["support_size"] == 167668501
+        pmf = np.loadtxt(out_file, delimiter=",", skiprows=1)[:, 1:]
+        assert np.all(np.abs(pmf.sum(axis=0) - 1.0) <= 1e-12)
+
+    def test_colours_after_the_first_share_one_marginal(self, capsys, tmp_path):
+        out_file = tmp_path / "q2.csv"
+        code, _ = run_cli(capsys, "exact", "--p", "4", "--q", "2", "--beta", "0.8",
+                          "--h", "0.3", "--N", "60", "--out", str(out_file))
+        assert code == 0
+        pmf = np.loadtxt(out_file, delimiter=",", skiprows=1)[:, 1:]
+        assert np.all(np.abs(pmf[:, 1] - pmf[::-1, 0]) <= 1e-15)
+        out_file = tmp_path / "q4.csv"
+        code, _ = run_cli(capsys, "exact", "--p", "4", "--q", "4", "--beta", "0.6",
+                          "--h", "0.5", "--N", "40", "--out", str(out_file))
+        assert code == 0
+        for line in out_file.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[2] == cells[3] == cells[4]
+
+    @pytest.mark.parametrize("p,q,beta,h,N", [(4, 2, 0.8, 0.3, 60), (4, 3, 0.616, 0.67, 60),
+                                              (3, 4, 0.9, 0.4, 40), (4, 5, 0.6, 0.3, 30),
+                                              (4, 3, 1.3, 0.0, 60), (4, 3, 2.0, 0.0, 60)])
+    def test_matches_full_support(self, capsys, tmp_path, p, q, beta, h, N):
+        from tensorpotts import ModelSpec
+
+        out_file = tmp_path / "m.csv"
+        code, out = run_cli(capsys, "exact", "--p", str(p), "--q", str(q), "--beta", repr(beta),
+                            "--h", repr(h), "--N", str(N), "--out", str(out_file))
+        assert code == 0
+        payload = json.loads(out)
+        counts = support(N, q)
+        lw = log_weights(ModelSpec(p, q, beta, h), N, counts)
+        probs = np.exp(lw - lw.max())
+        probs /= probs.sum()
+        pmf = np.loadtxt(out_file, delimiter=",", skiprows=1)[:, 1:]
+        for r in range(q):
+            oracle = np.bincount(counts[:, r], weights=probs, minlength=N + 1)
+            assert np.all(np.abs(pmf[:, r] - oracle) <= 1e-12)
+        x = counts / N
+        assert payload["u_N1"] == pytest.approx(float(probs @ x[:, 0]), rel=1e-13)
+        assert payload["u_Np"] == pytest.approx(float(probs @ np.sum(x ** p, axis=1)), rel=1e-13)
+        assert payload["support_size"] == len(counts)
 
 
 class TestSimulate:

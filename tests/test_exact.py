@@ -9,12 +9,12 @@ import pytest
 
 from tensorpotts import (
     ModelSpec,
-    compositions_iter,
-    expect_functional,
+    colour_marginals,
+    critical_curve,
     expect_u1,
     expect_up,
+    full_maximizer_set,
     log_partition,
-    log_weight,
     magnetization_law,
     tail_prob,
 )
@@ -31,7 +31,14 @@ from tensorpotts.inference import mle_h
 from tensorpotts.errors import DomainError, SupportSizeError
 from scipy.special import gammaln
 
-from conftest import brute_force_log_partition, central_difference, rng
+from conftest import (
+    brute_force_log_partition,
+    central_difference,
+    rng,
+    stream_expectation,
+    stream_tail_prob,
+    support,
+)
 
 
 from hypothesis import given, settings
@@ -41,7 +48,7 @@ from hypothesis import strategies as st
 @given(N=st.integers(1, 25), q=st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_composition_enumeration_properties(N, q):
-    rows = [tuple(c) for c in compositions_iter(N, q)]
+    rows = [tuple(c) for c in support(N, q)]
     assert len(rows) == n_compositions(N, q)
     assert rows == sorted(set(rows))
     assert all(sum(r) == N and min(r) >= 0 for r in rows)
@@ -49,21 +56,21 @@ def test_composition_enumeration_properties(N, q):
 
 class TestCompositions:
     def test_small_case_exact(self):
-        assert [tuple(c) for c in compositions_iter(2, 2)] == [(0, 2), (1, 1), (2, 0)]
+        assert [tuple(c) for c in support(2, 2)] == [(0, 2), (1, 1), (2, 0)]
 
     def test_counts(self):
-        assert sum(1 for _ in compositions_iter(4, 3)) == 15
+        assert len(support(4, 3)) == 15
         assert n_compositions(1000, 3) == 501501
         total = sum(b.shape[0] for b in composition_blocks(1000, 3))
         assert total == 501501
 
     def test_lexicographic_unique(self):
-        rows = [tuple(c) for c in compositions_iter(6, 3)]
+        rows = [tuple(c) for c in support(6, 3)]
         assert rows == sorted(set(rows))
         assert all(sum(r) == 6 for r in rows)
 
     def test_q4_blocks(self):
-        rows = [tuple(c) for c in compositions_iter(5, 4)]
+        rows = [tuple(c) for c in support(5, 4)]
         assert len(rows) == n_compositions(5, 4)
         assert rows == sorted(set(rows))
 
@@ -83,10 +90,16 @@ class TestCompositions:
         monkeypatch.setattr(exact, "SUPPORT_BYTES", orbit_bytes - 1)
         with pytest.raises(SupportSizeError):
             BProfile(spec, 100)
+        # tail_prob reads the same orbit rows, at 9 bytes each
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", orbit_bytes * 9 // 16)
+        tail_prob(spec, 100, 0.1)
+        monkeypatch.setattr(exact, "SUPPORT_BYTES", orbit_bytes * 9 // 16 - 1)
+        with pytest.raises(SupportSizeError):
+            tail_prob(spec, 100, 0.1)
 
     def test_first_block_beyond_int64_counts(self):
-        # C(2009, 9) = 1.3e23 compositions: the streaming paths have no size check,
-        # so the row counts that split the blocks must not wrap
+        # C(2009, 9) = 1.3e23 compositions: the blocks themselves have no size
+        # check, so the row counts that split them must not wrap
         block = next(composition_blocks(2000, 10))
         assert 0 < len(block) <= exact.BLOCK_ROWS
         assert np.array_equal(block[0], [0] * 9 + [2000])
@@ -107,16 +120,22 @@ class TestCompositions:
 
 class TestLogWeight:
     def test_free_case_sums_to_q_pow_n(self):
+        # at beta = h = 0 the law is multinomial(N; 1/3, 1/3, 1/3)
         spec = ModelSpec(3, 3, 0.0, 0.0)
         N = 7
-        lw = np.array([log_weight(spec, N, c) for c in compositions_iter(N, 3)])
-        assert np.logaddexp.reduce(lw) == pytest.approx(N * math.log(3), rel=1e-14)
+        assert log_partition(spec, N) == pytest.approx(N * math.log(3), rel=1e-14)
+        law = magnetization_law(spec, N)
+        multinomial = [math.factorial(N) / math.prod(math.factorial(int(k)) for k in c) / 3 ** N
+                       for c in law.support]
+        assert np.allclose(law.probs(), multinomial, rtol=1e-13, atol=0)
 
     def test_pure_coloring(self):
         spec = ModelSpec(4, 3, 0.8, 0.3)
         N = 9
-        c = np.array([N, 0, 0])
-        assert log_weight(spec, N, c) == pytest.approx(N * (spec.beta + spec.h), abs=1e-12)
+        law = magnetization_law(spec, N)
+        assert np.array_equal(law.support[-1], [N, 0, 0])
+        assert law.log_probs[-1] + log_partition(spec, N) == pytest.approx(
+            N * (spec.beta + spec.h), abs=1e-12)
 
     def test_brute_force_partition(self):
         gen = rng(2)
@@ -128,11 +147,6 @@ class TestLogWeight:
                 mine = log_partition(spec, N)
                 brute = brute_force_log_partition(spec, N)
                 assert abs(mine - brute) / abs(brute) < 1e-12
-
-    def test_invalid_composition(self):
-        spec = ModelSpec(2, 2, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            log_weight(spec, 5, np.array([3, 3]))
 
 
 class TestPartitionMonotone:
@@ -151,12 +165,12 @@ class TestExactLaw:
         assert len(law.log_probs) == n_compositions(60, 3)
 
     def test_permutation_symmetry_at_h0(self):
-        spec = ModelSpec(3, 3, 1.1, 0.0)
-        N = 11
+        law = magnetization_law(ModelSpec(3, 3, 1.1, 0.0), 11)
+        log_prob = dict(zip(map(tuple, law.support.tolist()), law.log_probs))
         for c in ([4, 5, 2], [0, 11, 0], [7, 3, 1]):
-            base = log_weight(spec, N, np.array(c))
+            base = log_prob[tuple(c)]
             for perm in itertools.permutations(c):
-                assert log_weight(spec, N, np.array(perm)) == base
+                assert log_prob[perm] == base
 
     @pytest.mark.parametrize("p,q,beta,h,N", [(4, 3, 0.9, 0.4, 60), (2, 2, 1.3, 0.1, 200),
                                               (4, 4, 0.6, 0.2, 40), (3, 5, 1.1, 0.7, 15)])
@@ -173,37 +187,10 @@ class TestExactLaw:
         assert np.array_equal(law.log_probs, lw - (top + math.log(np.exp(lw - top).sum())))
 
     def test_marginal_sums(self):
-        law = magnetization_law(ModelSpec(4, 2, 0.6, 0.1), 50)
-        grid, pmf = law.marginal(0)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(grid) == 51
-
-    def test_save_load_round_trip(self, tmp_path):
-        spec = ModelSpec(4, 3, 0.9, 0.4)
-        law = magnetization_law(spec, 30)
-        path = tmp_path / "law.bin"
-        law.save(path)
-        loaded = law.load(path, spec)
-        assert loaded.N == 30
-        assert np.array_equal(loaded.support, law.support)
-        assert np.array_equal(loaded.log_probs, law.log_probs)
-
-
-@pytest.mark.parametrize("damage", ["header_cut", "mid_record_cut", "record_boundary_cut",
-                                    "q_mismatch"])
-def test_load_rejects_damaged_dump(tmp_path, damage):
-    spec = ModelSpec(4, 3, 0.9, 0.4)
-    law = magnetization_law(spec, 30)
-    path = tmp_path / "law.bin"
-    law.save(path)
-    data = path.read_bytes()
-    itemsize = (len(data) - 24) // len(law.log_probs)
-    cut = {"header_cut": 10, "mid_record_cut": len(data) - itemsize // 2,
-           "record_boundary_cut": len(data) - itemsize, "q_mismatch": len(data)}[damage]
-    path.write_bytes(data[:cut])
-    load_spec = ModelSpec(4, 4, 0.9, 0.4) if damage == "q_mismatch" else spec
-    with pytest.raises(DomainError):
-        law.load(path, load_spec)
+        pmfs = colour_marginals(ModelSpec(4, 2, 0.6, 0.1), 50)
+        for pmf in pmfs:
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert len(pmf) == 51
 
 
 class TestExpectations:
@@ -248,9 +235,10 @@ class TestExpectations:
         assert gaps[2] <= 1.2 * c / math.sqrt(1000)
 
     def test_expect_functional(self):
+        # the streaming full-support oracle against the c_1 profile
         spec = ModelSpec(4, 3, 0.9, 0.4)
         N = 40
-        via_g = expect_functional(spec, N, lambda x: x[:, 0])
+        via_g = stream_expectation(spec, N, lambda x: x[:, 0])
         assert via_g == pytest.approx(expect_u1(spec, N), abs=1e-14)
 
 
@@ -266,6 +254,34 @@ class TestTailProb:
         rates = [math.log(tail_prob(fig_regular_spec, N, 0.1)) / N for N in (200, 400)]
         assert all(r < 0 for r in rates)
         assert max(rates) / min(rates) <= 2.0 and min(rates) / max(rates) >= 0.5
+
+    @pytest.mark.parametrize("p,q,beta,h,N", [(4, 3, 0.616, 0.67, 300), (4, 4, 0.6, 0.5, 80),
+                                              (4, 4, 1.3, 0.0, 80), (4, 5, 0.6, 0.3, 40)])
+    def test_orbits_match_streaming_oracle(self, p, q, beta, h, N):
+        spec = ModelSpec(p, q, beta, h)
+        maximizers = full_maximizer_set(spec).vectors
+        for eps in (0.02, 0.1, 0.3, 3.0):
+            got = tail_prob(spec, N, eps)
+            want = stream_tail_prob(spec, N, eps, maximizers)
+            assert (got == 0.0) == (want == 0.0)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("maximizers", [[(0.5, 0.3, 0.2)], [(0.5, 0.5)]],
+                             ids=["not-closed-under-colour-swaps", "wrong-length"])
+    def test_bad_maximizers_raise(self, maximizers):
+        with pytest.raises(DomainError):
+            tail_prob(ModelSpec(4, 3, 0.616, 0.67), 50, 0.1, maximizers=maximizers)
+
+    @pytest.mark.parametrize("point", ["regular", "weakly-critical", "strongly-critical"])
+    def test_full_maximizer_sets_are_closed(self, point):
+        if point == "strongly-critical":
+            sample = critical_curve(4, 3, 5)[2]
+            spec = ModelSpec(4, 3, sample.beta, sample.h)
+        else:
+            spec = {"regular": ModelSpec(4, 3, 0.616, 0.67),
+                    "weakly-critical": ModelSpec(4, 3, 1.3, 0.0)}[point]
+        maximizers = full_maximizer_set(spec).vectors
+        assert 0.0 < tail_prob(spec, 60, 0.05, maximizers=maximizers) < 1.0
 
 
 class TestProfiles:
@@ -387,4 +403,10 @@ class TestSupportBudget:
         t0 = time.perf_counter()
         with pytest.raises(SupportSizeError):
             expect_up(ModelSpec(4, 5, 0.6, 0.5), 1000)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_tail_prob_over_budget_raises_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SupportSizeError):
+            tail_prob(ModelSpec(4, 5, 0.6, 0.3), 1000, 0.1)
         assert time.perf_counter() - t0 < 1.0

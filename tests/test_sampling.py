@@ -23,6 +23,8 @@ from tensorpotts import (
 from tensorpotts.errors import DomainError
 from tensorpotts.sampling import RescaledSamples, site_conditional, write_samples_csv
 
+from conftest import law_marginal
+
 
 def rescale_rows(samples, spec, pc, N):
     """Reference: the per-row formulas of the row-at-a-time rescale, as
@@ -81,7 +83,7 @@ class TestExactSampler:
         n = 100_000
         draws = exact_sample(law, n, seed=12)
         counts = np.bincount((draws[:, 0] * N).round().astype(int), minlength=N + 1)
-        expected = law.marginal(0)[1] * n
+        expected = law_marginal(law, 0) * n
         mask = expected >= 5
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1
@@ -150,7 +152,7 @@ class TestGibbsChain:
         spec = ModelSpec(4, 2, 0.616, 0.0)
         N = 60
         law = magnetization_law(spec, N)
-        target = law.marginal(0)[1]
+        target = law_marginal(law, 0)
         cfg = ChainConfig(N=N, sweeps=100_000, burn_in=2_000, thin=1, seed=21)
         out = gibbs_chain(spec, cfg)
         counts = (out[:, 0] * N).round().astype(int)
