@@ -12,9 +12,8 @@ import importlib
 
 _EXPORTS = {
     "model": (
-        "ModelSpec", "SDerivatives", "f_deriv", "f_derivative_bundle", "k_deriv",
-        "negative_free_energy", "quadratic_form", "s_of_x", "sigma_matrix", "u_vector",
-        "x_of_s"),
+        "ModelSpec", "f_deriv", "k_deriv", "negative_free_energy", "quadratic_form", "s_of_x",
+        "sigma_matrix", "u_vector", "x_of_s"),
     "phase": (
         "CriticalCurveSample", "MaximizerSet", "PointClass", "PointTag", "SpecialPoint",
         "StationaryPoint", "classify_point", "compute_beta_c", "compute_special_point",
@@ -24,8 +23,7 @@ _EXPORTS = {
         "ExactLaw", "BProfile", "HProfile", "colour_marginals", "expect_u1", "expect_up",
         "log_partition", "magnetization_law", "tail_prob"),
     "sampling": (
-        "ChainConfig", "RescaledSample", "RescaledSamples", "exact_sample", "gibbs_chain",
-        "rescale"),
+        "RescaledSample", "RescaledSamples", "exact_sample", "rescale"),
     "laws": (
         "ComposedLaw", "GaussianSimplex", "GridLaw", "HalfNormalLaw",
         "MixtureGaussianSimplex", "MixtureLaw", "NormalLaw", "ScalarLaw", "bhat_limit",

@@ -75,8 +75,7 @@ def cmd_landmarks(args) -> None:
 def cmd_curve(args) -> None:
     samples = phase.critical_curve(args.p, args.q, args.samples)
     if args.out:
-        write_table(args.out, ["h", "beta", "s_low", "s_high"],
-                    [(c.h, c.beta, c.s_low, c.s_high) for c in samples], args.format)
+        phase.curve_to_csv(samples, args.out, args.format)
     _emit({"n_samples": len(samples),
            "h_range": [samples[0].h, samples[-1].h] if samples else [],
            "beta_range": [samples[-1].beta, samples[0].beta] if samples else [],
@@ -111,7 +110,7 @@ def cmd_exact(args) -> None:
     from . import exact
 
     spec = _spec(args)
-    pmf1, pmf_rest = exact.colour_marginals(spec, args.N)
+    pmf1, pmf_rest, log_z = exact.colour_marginals(spec, args.N)
     x = np.arange(args.N + 1) / args.N
     xp = x ** spec.p
     u1 = float(np.einsum("i,i", pmf1, x))
@@ -122,7 +121,7 @@ def cmd_exact(args) -> None:
                 for v, a, b in zip(x, pmf1, pmf_rest)]
         write_table(args.out, cols, rows, args.format)
     _emit({"u_N1": u1, "u_Np": up,
-           "log_partition": exact.log_partition(spec, args.N),
+           "log_partition": log_z,
            "support_size": exact.n_compositions(args.N, spec.q), "out": args.out})
 
 

@@ -190,15 +190,23 @@ def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
     return math.lgamma(N + 1.0) + g + others[::-1]
 
 
-def log_partition(spec: ModelSpec, N: int) -> float:
-    """log of q^N Z_N: the log-sum of the weights of all compositions."""
-    lw = _c1_log_profile(spec, N) + spec.h * np.arange(N + 1)
+def _log_z(spec: ModelSpec, N: int, g: np.ndarray, others: np.ndarray) -> float:
+    """log of q^N Z_N from (g, G_{q-1}): the log-sum over c_1 of the h-tilted
+    c_1 profile, added in the same order as ``_c1_log_profile``."""
+    lw = math.lgamma(N + 1.0) + g + others[::-1] + spec.h * np.arange(N + 1)
     top = lw.max()
     return float(top + math.log(np.exp(lw - top).sum()))
 
 
+def log_partition(spec: ModelSpec, N: int) -> float:
+    """log of q^N Z_N: the log-sum of the weights of all compositions."""
+    g, _, others = _colour_convolutions(spec, N)
+    return _log_z(spec, N, g, others)
+
+
 def colour_marginals(spec: ModelSpec, N: int) -> tuple:
-    """(pmf of c_1, pmf of each of c_2..c_q) over c = 0..N, at any N.
+    """(pmf of c_1, pmf of each of c_2..c_q, ``log_partition``) over c = 0..N,
+    at any N, from q - 1 log-semiring convolutions.
 
     Colour 1's log-mass is the h-tilted c_1 profile, g(j) + h j + G_{q-1}(N - j).
     Colours 2..q are exchangeable at fixed h and share
@@ -207,7 +215,8 @@ def colour_marginals(spec: ModelSpec, N: int) -> tuple:
     g, below, others = _colour_convolutions(spec, N)
     tilted = g + spec.h * np.arange(N + 1)
     shared = tilted if below is None else _log_convolve(tilted, below)
-    return _normalized(tilted + others[::-1]), _normalized(g + shared[::-1])
+    return (_normalized(tilted + others[::-1]), _normalized(g + shared[::-1]),
+            _log_z(spec, N, g, others))
 
 
 def _normalized(log_mass: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ come from Newton continuation of the tie system along the critical curve.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -32,6 +31,7 @@ from .errors import DegenerateIntervalError, DomainError, PreconditionError
 from .exact import BProfile, HProfile
 from .model import ModelSpec, as_prob_vector, f_deriv
 from .phase import (
+    SCALE_EXPONENTS,
     PointTag,
     SpecialPoint,
     classify_point,
@@ -313,14 +313,6 @@ def augment_ci(cs: ConfidenceSet, slice_points) -> ConfidenceSet:
                          appended_points=appended)
 
 
-_RATE_EXPONENTS = {
-    PointTag.STRONGLY_CRITICAL: 0.5,
-    PointTag.WEAKLY_CRITICAL: 0.5,
-    PointTag.SPECIAL_TYPE_I: 0.75,
-    PointTag.SPECIAL_TYPE_II: 5.0 / 6.0,
-}
-
-
 def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
                 param: str = "h",
                 beta_c: float | None = None,
@@ -366,22 +358,14 @@ def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
     target = slice_pts[0]
     null_spec = spec.with_params(**{param: target} if param == "beta" else {"h": target})
     pclass = classify_point(null_spec)
-    rate = _RATE_EXPONENTS.get(pclass.tag)
-    if rate is None:
+    if pclass.tag is PointTag.REGULAR:
         # the slice point classified regular: fall back to the plain interval
         return plain_as_two_step()
     law = hhat_limit(null_spec, pclass) if param == "h" else bhat_limit(null_spec, pclass)
-    stat = N ** rate * (est.estimate - target)
+    stat = N ** (1.0 - SCALE_EXPONENTS[pclass.tag]) * (est.estimate - target)
     lo_q = law.quantile(alpha / 2.0)
     hi_q = law.quantile(1.0 - alpha / 2.0)
     if lo_q <= stat <= hi_q:
         return ConfidenceSet(interval=(target, target), level=1.0 - alpha,
                              method="two_step")
     return plain_as_two_step()
-
-
-def result_to_json(estimate: EstimationResult, cs: ConfidenceSet | None = None) -> str:
-    payload = estimate.to_json_dict()
-    if cs is not None:
-        payload["ci"] = cs.to_json_dict()
-    return json.dumps(payload)

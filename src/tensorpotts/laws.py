@@ -22,12 +22,11 @@ mixtures of permuted copies at critical points, or the rank-(q-2) covariance
 of the V-component at special points.
 
 Every law is immutable after construction: normalization constants and grids
-are cached at build time, and evaluation/sampling are pure given a seed.
+are cached at build time, and evaluation is pure.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -49,7 +48,7 @@ SEXTIC_COEF = -32.0 / 15.0  # x^6 coefficient of the type-II limit density
 
 
 class ScalarLaw:
-    """Interface: pdf/cdf/mean/var, quantile, seeded sampling, JSON dump."""
+    """Interface: pdf/cdf/mean/var and quantile."""
 
     kind = "abstract"
 
@@ -65,17 +64,8 @@ class ScalarLaw:
     def var(self) -> float:
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} does not support sampling")
-
     def quantile(self, u: float) -> float:
         raise NotImplementedError
-
-    def params(self) -> dict:
-        return {}
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params()}
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -109,12 +99,10 @@ class GridLaw(ScalarLaw):
     ones, so even nodes carry the composite-Simpson partial sums.
     """
 
-    def __init__(self, kind: str, log_density, radius: float,
-                 n_points: int = GRID_POINTS, params: dict | None = None):
+    def __init__(self, kind: str, log_density, radius: float, n_points: int = GRID_POINTS):
         if radius <= 0 or n_points < 5 or n_points % 4 != 1:
             raise DomainError("need radius > 0 and n_points = 4k + 1 >= 5")
         self.kind = kind
-        self._params = dict(params or {})
         x = np.linspace(-radius, radius, n_points)
         ld = np.asarray(log_density(x), dtype=float)
         top = ld.max()
@@ -150,19 +138,6 @@ class GridLaw(ScalarLaw):
 
     def quantile(self, u):
         return np.interp(u, self.cdf_values, self.x)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(seed))
-        return np.interp(rng.random(n), self.cdf_values, self.x)
-
-    def params(self) -> dict:
-        return dict(self._params)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params(),
-                "normalization_error": self.normalization_error,
-                "grid_spec": {"lo": float(self.x[0]), "hi": float(self.x[-1]),
-                              "n": int(len(self.x))}}
 
 
 # Cody (1969) rational approximations, as in the cephes ``ndtr``:
@@ -273,13 +248,6 @@ class NormalLaw(ScalarLaw):
     def quantile(self, u):
         return self.mu + self.sigma * _ndtri(u)
 
-    def sample(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return self.mu + self.sigma * rng.standard_normal(n)
-
-    def params(self):
-        return {"mean": self.mu, "variance": self.variance}
-
 
 class HalfNormalLaw(ScalarLaw):
     """|Z| (sign=+1) or -|Z| (sign=-1) for Z ~ N(0, variance)."""
@@ -318,13 +286,6 @@ class HalfNormalLaw(ScalarLaw):
         if self.sign > 0:
             return self.sigma * _ndtri(0.5 * (1.0 + u))
         return self.sigma * _ndtri(0.5 * u)
-
-    def sample(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return self.sign * np.abs(self.sigma * rng.standard_normal(n))
-
-    def params(self):
-        return {"sign": self.sign, "variance": self.variance}
 
 
 @dataclass(frozen=True)
@@ -397,31 +358,6 @@ class MixtureLaw(ScalarLaw):
             hi *= 4
         return _bisect_quantile(self.cdf, u, lo, hi)
 
-    def sample(self, n, seed):
-        if self.neg_inf_mass > 0 or self.pos_inf_mass > 0:
-            raise DomainError("cannot sample a law with mass at infinity")
-        rng = np.random.Generator(np.random.Philox(seed))
-        weights = [w for w, _ in self.components] + [a.mass for a in self.atoms]
-        choice = rng.choice(len(weights), size=n, p=np.asarray(weights) / sum(weights))
-        out = np.empty(n)
-        for i, (w, law) in enumerate(self.components):
-            mask = choice == i
-            k = int(mask.sum())
-            if k:
-                out[mask] = law.sample(k, seed=seed + 1000 + i)
-        for j, a in enumerate(self.atoms):
-            out[choice == len(self.components) + j] = a.location
-        return out
-
-    def params(self):
-        return {
-            "weights": [w for w, _ in self.components],
-            "components": [law.to_json_dict() for _, law in self.components],
-            "atoms": [{"location": a.location, "mass": a.mass} for a in self.atoms],
-            "neg_inf_mass": self.neg_inf_mass,
-            "pos_inf_mass": self.pos_inf_mass,
-        }
-
 
 class ComposedLaw(ScalarLaw):
     """Estimator cdf of the form t -> F0(-mu(t)).
@@ -469,13 +405,6 @@ class ComposedLaw(ScalarLaw):
     def quantile(self, u: float) -> float:
         return _bisect_quantile(self.cdf, u, float(self._t_grid[0]), float(self._t_grid[-1]))
 
-    def sample(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return np.array([self.quantile(u) for u in rng.random(n)])
-
-    def params(self):
-        return {"name": self.name, "outer": self.outer.to_json_dict()}
-
 
 class AffineOfLaw(ScalarLaw):
     """Law of a * X for X following ``base`` (a nonzero)."""
@@ -505,12 +434,6 @@ class AffineOfLaw(ScalarLaw):
             return self.a * self.base.quantile(u)
         return self.a * self.base.quantile(1.0 - u)
 
-    def sample(self, n, seed):
-        return self.a * self.base.sample(n, seed)
-
-    def params(self):
-        return {"scale": self.a, "base": self.base.to_json_dict()}
-
 
 class SquaredGridLaw(ScalarLaw):
     """Law of c * T^2 for T following a (symmetric or not) grid law."""
@@ -539,12 +462,6 @@ class SquaredGridLaw(ScalarLaw):
     def quantile(self, u):
         return _bisect_quantile(self.cdf, u, 0.0, self.c * self.base.x[-1] ** 2)
 
-    def sample(self, n, seed):
-        return self.c * self.base.sample(n, seed) ** 2
-
-    def params(self):
-        return {"scale": self.c, "base": self.base.to_json_dict()}
-
 
 class ChiSquareLaw(ScalarLaw):
     """Chi-square law with ``dof`` degrees of freedom, exact through the
@@ -571,9 +488,6 @@ class ChiSquareLaw(ScalarLaw):
 
         return 2.0 * gammaincinv(0.5 * self.dof, u)
 
-    def params(self):
-        return {"dof": self.dof}
-
 
 # ---------------------------------------------------------------------------
 # vector laws
@@ -582,38 +496,24 @@ class ChiSquareLaw(ScalarLaw):
 class GaussianSimplex:
     """Gaussian on the zero-sum hyperplane: kernel contains the ones vector."""
 
-    kind = "GaussianSimplex"
-
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
         self.mean = np.asarray(mean, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
-        w, v = np.linalg.eigh(self.cov)
+        w = np.linalg.eigvalsh(self.cov)
         if w.min() < -1e-10:
             raise DomainError(f"covariance has eigenvalue {w.min()}, not PSD")
         self._eigvals = np.clip(w, 0.0, None)
-        self._eigvecs = v
 
     def rank(self, tol: float = 1e-10) -> int:
         return int(np.sum(self._eigvals > tol * max(self._eigvals.max(), 1.0)))
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(seed))
-        z = rng.standard_normal((n, len(self.mean)))
-        return self.mean + (z * np.sqrt(self._eigvals)) @ self._eigvecs.T
 
     def project(self, direction) -> NormalLaw:
         v = np.asarray(direction, dtype=float)
         return NormalLaw(float(v @ self.mean), float(v @ self.cov @ v))
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "params": {"mean": self.mean.tolist(),
-                                              "cov": self.cov.tolist()}}
-
 
 class MixtureGaussianSimplex:
     """Mixture of permuted simplex Gaussians (the critical-point limit)."""
-
-    kind = "MixtureGaussianSimplex"
 
     def __init__(self, weights, components):
         self.weights = np.asarray(weights, dtype=float)
@@ -621,25 +521,10 @@ class MixtureGaussianSimplex:
             raise DomainError("mixture weights must sum to 1")
         self.components = list(components)
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(seed))
-        choice = rng.choice(len(self.components), size=n, p=self.weights)
-        out = np.empty((n, len(self.components[0].mean)))
-        for i, comp in enumerate(self.components):
-            mask = choice == i
-            if mask.any():
-                out[mask] = comp.sample(int(mask.sum()), seed=seed + 7919 * (i + 1))
-        return out
-
     def project(self, direction) -> MixtureLaw:
         comps = [(w, comp.project(direction)) for w, comp in
                  zip(self.weights, self.components)]
         return MixtureLaw(comps)
-
-    def to_json_dict(self):
-        return {"kind": self.kind,
-                "params": {"weights": self.weights.tolist(),
-                           "components": [c.to_json_dict() for c in self.components]}}
 
 
 # ---------------------------------------------------------------------------
@@ -713,17 +598,14 @@ def quartic_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
     coef4, slope = _quartic_coefs(spec, point_class)
     coef1 = beta_bar * spec.p * slope + h_bar * (1 - spec.q)
     radius = _tilt_radius(coef4, 4, coef1)
-    return GridLaw("QuarticTilt", lambda x: coef4 * x ** 4 + coef1 * x, radius,
-                   params={"coef4": coef4, "coef1": coef1,
-                           "beta_bar": beta_bar, "h_bar": h_bar})
+    return GridLaw("QuarticTilt", lambda x: coef4 * x ** 4 + coef1 * x, radius)
 
 
 def sextic_law(h_bar: float = 0.0) -> GridLaw:
     """Limit of T_N at the type-II special point: exp(-32/15 x^6 - h_bar x)."""
     coef1 = -h_bar
     radius = _tilt_radius(SEXTIC_COEF, 6, coef1)
-    return GridLaw("SexticTilt", lambda x: SEXTIC_COEF * x ** 6 + coef1 * x, radius,
-                   params={"coef6": SEXTIC_COEF, "coef1": coef1, "h_bar": h_bar})
+    return GridLaw("SexticTilt", lambda x: SEXTIC_COEF * x ** 6 + coef1 * x, radius)
 
 
 def gaussian_limit_regular(spec: ModelSpec, beta_bar: float = 0.0,
@@ -1037,7 +919,3 @@ def density_table(law: ScalarLaw, n: int = 512):
 
 def density_table_csv(law: ScalarLaw, path) -> None:
     write_table(path, ["x", "pdf", "cdf"], zip(*density_table(law)))
-
-
-def law_to_json(law) -> str:
-    return json.dumps(law.to_json_dict())

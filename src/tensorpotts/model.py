@@ -70,14 +70,6 @@ class ModelSpec:
                          self.h if h is None else float(h))
 
 
-@dataclass(frozen=True)
-class SDerivatives:
-    """Values f^(0)..f^(6) of the reduced free energy at a single s."""
-
-    s: float
-    values: np.ndarray  # shape (7,)
-
-
 def as_prob_vector(v, q: int | None = None) -> np.ndarray:
     """Validate and return v as a probability vector (1-D, >= 0, sums to 1)."""
     v = np.asarray(v, dtype=float)
@@ -216,12 +208,6 @@ def f_beta_deriv(spec: ModelSpec, s, order: int):
     a = (1.0 + (q - 1.0) * s) / q
     b = (1.0 - s) / q
     return _falling_factorial(p, order) * (coef_a * a ** (p - order) + coef_b * b ** (p - order))
-
-
-def f_derivative_bundle(spec: ModelSpec, s: float) -> SDerivatives:
-    """All derivatives f^(0)..f^(6) at one point, as a single value object."""
-    values = np.array([f_deriv(spec, s, n) for n in range(MAX_DERIV_ORDER + 1)])
-    return SDerivatives(s=float(s), values=values)
 
 
 def quadratic_form(spec: ModelSpec, s: float, t) -> float:

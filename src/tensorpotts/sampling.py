@@ -1,10 +1,7 @@
-"""Sampling the magnetization: exact inversion and heat-bath MCMC.
+"""Sampling the magnetization by exact inversion, and its rescaled statistics.
 
-Exact draws invert the cumulative law of an :class:`~tensorpotts.exact.ExactLaw`;
-the chain is a single-site heat-bath (full conditional) sampler on color
-configurations with a fixed scan order, so runs are reproducible under a seed.
-RNG streams come from the counter-based Philox generator, which makes parallel
-chains independent by construction.
+Exact draws invert the cumulative law of an :class:`~tensorpotts.exact.ExactLaw`,
+with uniforms from a Philox generator seeded by the caller.
 
 ``rescale`` produces the scaled statistics whose limits the law module
 constructs: sqrt(N) deviations at regular/critical points, and the
@@ -26,25 +23,8 @@ import numpy as np
 from .errors import DomainError
 from .exact import ExactLaw
 from .model import ModelSpec, u_vector
-from .phase import PointClass, PointTag
+from .phase import SCALE_EXPONENTS, PointClass
 from .tables import write_table
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    N: int
-    sweeps: int
-    burn_in: int = 0
-    thin: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
-        if not (self.sweeps > self.burn_in >= 0):
-            raise DomainError("need sweeps > burn_in >= 0")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
 
 
 class RescaledSample(NamedTuple):
@@ -89,91 +69,20 @@ class RescaledSamples:
             self.raw, self.w, t_n, v_n, itertools.repeat(self.scale_exponent)))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def exact_sample(law: ExactLaw, n_samples: int, seed: int) -> np.ndarray:
     """i.i.d. magnetization draws by CDF inversion; rows are ProbVectors."""
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
     if n_samples == 0:
         return np.empty((0, law.q))
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     probs = law.probs()
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    u = _rng(seed).random(n_samples)
+    u = np.random.Generator(np.random.Philox(seed)).random(n_samples)
     idx = np.searchsorted(cum, u, side="left")
     return law.support[idx] / law.N
-
-
-def site_conditional(spec: ModelSpec, counts_minus_i) -> np.ndarray:
-    """Heat-bath conditional P(color r | rest) given the counts excluding site i.
-
-    Proportional to exp(beta * N^{1-p} * ((c_r + 1)^p - c_r^p) + h * 1{r=1});
-    the increment form is what the joint law of the model induces.
-    """
-    c = np.asarray(counts_minus_i, dtype=float)
-    N = int(round(c.sum())) + 1
-    lw = spec.beta * N ** (1 - spec.p) * ((c + 1.0) ** spec.p - c ** spec.p)
-    lw[0] += spec.h
-    lw -= lw.max()
-    w = np.exp(lw)
-    return w / w.sum()
-
-
-def gibbs_chain(spec: ModelSpec, cfg: ChainConfig) -> np.ndarray:
-    """Heat-bath chain targeting the model; emits thinned magnetizations.
-
-    One sweep updates all N sites in fixed scan order.  The per-color log
-    weight depends on the rest of the configuration only through that color's
-    count, so the increments beta * N^{1-p} * ((c+1)^p - c^p) are precomputed
-    for all c = 0..N-1.
-    """
-    N, q = cfg.N, spec.q
-    rng = _rng(cfg.seed)
-    colors = rng.integers(0, q, size=N).tolist()
-    counts = [0] * q
-    for col in colors:
-        counts[col] += 1
-
-    c_grid = np.arange(N, dtype=float)
-    incr = (spec.beta * N ** (1 - spec.p)
-            * ((c_grid + 1.0) ** spec.p - c_grid ** spec.p)).tolist()
-    h = spec.h
-
-    out = []
-    for sweep in range(cfg.sweeps):
-        us = rng.random(N)
-        for i in range(N):
-            ci = colors[i]
-            counts[ci] -= 1
-            tot = 0.0
-            cum = []
-            for r in range(q):
-                w = math.exp(incr[counts[r]] + (h if r == 0 else 0.0))
-                tot += w
-                cum.append(tot)
-            target = us[i] * tot
-            new = 0
-            while cum[new] < target:
-                new += 1
-            colors[i] = new
-            counts[new] += 1
-        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            out.append([c / N for c in counts])
-    return np.asarray(out)
-
-
-_EXPONENTS = {
-    PointTag.REGULAR: 0.5,
-    PointTag.STRONGLY_CRITICAL: 0.5,
-    PointTag.WEAKLY_CRITICAL: 0.5,
-    PointTag.SPECIAL_TYPE_I: 0.25,
-    PointTag.SPECIAL_TYPE_II: 1.0 / 6.0,
-}
 
 
 def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> RescaledSamples:
@@ -187,7 +96,7 @@ def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> Rescal
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != spec.q:
         raise DomainError(f"samples must be rows of length q={spec.q}")
-    expo = _EXPONENTS[point_class.tag]
+    expo = SCALE_EXPONENTS[point_class.tag]
     mats = np.stack(point_class.witness.vectors, axis=0)
     d2 = ((samples[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2)
     d = samples - mats[np.argmin(d2, axis=1)]

@@ -95,6 +95,23 @@ class TestExact:
             cells = line.split(",")
             assert cells[2] == cells[3] == cells[4]
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_convolves_q_minus_one_times(self, capsys, monkeypatch, q):
+        # the marginals and log Z share one set of c_1 convolutions
+        from tensorpotts import ModelSpec, exact
+
+        calls = []
+        convolve = exact._log_convolve
+        monkeypatch.setattr(exact, "_log_convolve",
+                            lambda a, b: calls.append(len(a)) or convolve(a, b))
+        code, out = run_cli(capsys, "exact", "--p", "4", "--q", str(q), "--beta", "0.616",
+                            "--h", "0.67", "--N", "50")
+        assert code == 0
+        assert len(calls) == q - 1
+        monkeypatch.undo()
+        assert json.loads(out)["log_partition"] == exact.log_partition(
+            ModelSpec(4, q, 0.616, 0.67), 50)
+
     @pytest.mark.parametrize("p,q,beta,h,N", [(4, 2, 0.8, 0.3, 60), (4, 3, 0.616, 0.67, 60),
                                               (3, 4, 0.9, 0.4, 40), (4, 5, 0.6, 0.3, 30),
                                               (4, 3, 1.3, 0.0, 60), (4, 3, 2.0, 0.0, 60)])

@@ -187,10 +187,12 @@ class TestExactLaw:
         assert np.array_equal(law.log_probs, lw - (top + math.log(np.exp(lw - top).sum())))
 
     def test_marginal_sums(self):
-        pmfs = colour_marginals(ModelSpec(4, 2, 0.6, 0.1), 50)
+        spec = ModelSpec(4, 2, 0.6, 0.1)
+        *pmfs, log_z = colour_marginals(spec, 50)
         for pmf in pmfs:
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert len(pmf) == 51
+        assert log_z == log_partition(spec, 50)
 
 
 class TestExpectations:

@@ -1,6 +1,5 @@
 """ML root-finding, confidence intervals, and the two-step procedure."""
 
-import json
 import math
 
 import numpy as np
@@ -30,7 +29,6 @@ from tensorpotts import (
 from tensorpotts.errors import DegenerateIntervalError, DomainError, PreconditionError
 from tensorpotts.exact import BProfile, HProfile
 from tensorpotts import inference
-from tensorpotts.inference import result_to_json
 
 from conftest import rng
 
@@ -313,15 +311,3 @@ class TestTwoStep:
         data = exact_sample(magnetization_law(spec, N), 1, seed=55)[0]
         cs = two_step_ci(spec, data, N, 0.05, param="h")
         assert cs.interval == (0.0, 0.0)
-
-
-class TestJson:
-    def test_round_trip(self, fig_regular_spec):
-        N = 100
-        data = exact_sample(magnetization_law(fig_regular_spec, N), 1, seed=61)[0]
-        est = mle_h(fig_regular_spec, float(data[0]), N)
-        cs = ci_h(fig_regular_spec, data, N, 0.05, estimate=est)
-        payload = json.loads(result_to_json(est, cs))
-        assert payload["converged"] is True
-        assert payload["ci"]["method"] == "plain"
-        assert payload["ci"]["lower"] < payload["estimate"] < payload["ci"]["upper"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tensorpotts import (
     ModelSpec,
     f_deriv,
-    f_derivative_bundle,
     k_deriv,
     negative_free_energy,
     quadratic_form,
@@ -194,13 +193,6 @@ class TestFDeriv:
                 a = f_deriv(ModelSpec(4, 3, 0.9, 0.0), s, n)
                 b = f_deriv(ModelSpec(4, 3, 0.9, 1.7), s, n)
                 assert a == b
-
-    def test_bundle(self):
-        spec = ModelSpec(4, 3, 0.7, 0.2)
-        bundle = f_derivative_bundle(spec, 0.4)
-        assert bundle.values.shape == (7,)
-        assert np.all(np.isfinite(bundle.values))
-        assert bundle.values[2] == f_deriv(spec, 0.4, 2)
 
 
 class TestQuadraticForm:

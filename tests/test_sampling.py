@@ -1,6 +1,5 @@
-"""Exact sampler, heat-bath chain, and the rescaled statistics."""
+"""Exact sampler and the rescaled statistics."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,20 +7,17 @@ import pytest
 from scipy.stats import chi2
 
 from tensorpotts import (
-    ChainConfig,
     ModelSpec,
     classify_point,
     compute_special_point,
     exact_sample,
     expect_u1,
-    gibbs_chain,
     magnetization_law,
     rescale,
     u_vector,
     x_of_s,
 )
-from tensorpotts.errors import DomainError
-from tensorpotts.sampling import RescaledSamples, site_conditional, write_samples_csv
+from tensorpotts.sampling import RescaledSamples, write_samples_csv
 
 from conftest import law_marginal
 
@@ -88,77 +84,6 @@ class TestExactSampler:
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1
         assert stat <= chi2.ppf(1 - 1e-3, dof)
-
-
-class TestGibbsChain:
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ChainConfig(N=10, sweeps=5, burn_in=5)
-        with pytest.raises(DomainError):
-            ChainConfig(N=10, sweeps=5, burn_in=0, thin=0)
-
-    def test_determinism(self):
-        spec = ModelSpec(4, 3, 0.9, 0.2)
-        cfg = ChainConfig(N=30, sweeps=50, burn_in=10, thin=2, seed=3)
-        assert np.array_equal(gibbs_chain(spec, cfg), gibbs_chain(spec, cfg))
-
-    def test_site_conditional_normalized(self):
-        spec = ModelSpec(4, 3, 1.1, 0.5)
-        cond = site_conditional(spec, np.array([3.0, 4.0, 2.0]))
-        assert cond.shape == (3,)
-        assert cond.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(cond > 0)
-
-    @pytest.mark.parametrize("spec", [ModelSpec(3, 2, 0.8, 0.3), ModelSpec(2, 3, 0.9, 0.0)])
-    def test_detailed_balance_three_sites(self, spec):
-        # single-site heat-bath kernel leaves the exact configuration law invariant
-        N, q = 3, spec.q
-        configs = list(itertools.product(range(q), repeat=N))
-        index = {c: i for i, c in enumerate(configs)}
-
-        def weight(cfg):
-            x = np.bincount(cfg, minlength=q) / N
-            return math.exp(N * (spec.beta * float(np.sum(x ** spec.p)) + spec.h * x[0]))
-
-        pi = np.array([weight(c) for c in configs])
-        pi /= pi.sum()
-        for site in range(N):
-            P = np.zeros((len(configs), len(configs)))
-            for a, cfg in enumerate(configs):
-                counts = np.bincount(cfg, minlength=q).astype(float)
-                counts[cfg[site]] -= 1
-                cond = site_conditional(spec, counts)
-                for r in range(q):
-                    new = list(cfg)
-                    new[site] = r
-                    P[a, index[tuple(new)]] += cond[r]
-            assert np.abs(pi @ P - pi).max() < 1e-12
-
-    def test_free_case_is_binomial(self):
-        # beta = h = 0: sites are independent uniform colors
-        spec = ModelSpec(4, 2, 0.0, 0.0)
-        N = 30
-        cfg = ChainConfig(N=N, sweeps=20_000, burn_in=500, thin=1, seed=8)
-        out = gibbs_chain(spec, cfg)
-        counts = (out[:, 0] * N).round().astype(int)
-        hist = np.bincount(counts, minlength=N + 1) / len(counts)
-        from scipy.stats import binom
-
-        target = binom.pmf(np.arange(N + 1), N, 0.5)
-        assert 0.5 * np.abs(hist - target).sum() < 0.02
-
-    def test_stationarity_total_variation(self):
-        # chain histogram of X1 against the exact marginal (ordered phase)
-        spec = ModelSpec(4, 2, 0.616, 0.0)
-        N = 60
-        law = magnetization_law(spec, N)
-        target = law_marginal(law, 0)
-        cfg = ChainConfig(N=N, sweeps=100_000, burn_in=2_000, thin=1, seed=21)
-        out = gibbs_chain(spec, cfg)
-        counts = (out[:, 0] * N).round().astype(int)
-        hist = np.bincount(counts, minlength=N + 1) / len(counts)
-        tv = 0.5 * float(np.abs(hist - target).sum())
-        assert tv <= 0.02
 
 
 class TestRescale:
