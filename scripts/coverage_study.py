@@ -37,9 +37,8 @@ def main():
     q = args.q
     sd_theory = math.sqrt(-(q * q / (q - 1.0) ** 2) * tp.f_deriv(spec, s_star, 2))
 
-    law = tp.magnetization_law(spec, args.N)
     profile = HProfile(spec, args.N)
-    draws = tp.exact_sample(law, args.replicates, args.seed)
+    draws = tp.draw_magnetizations(spec, args.N, args.replicates, args.seed)
 
     hhats = np.empty(args.replicates)
     covered = 0

@@ -22,8 +22,7 @@ PROJECTION = np.array([0.157, 0.396, 0.323])
 
 def emit(name, spec, N, n_samples, seed, outdir, project=None):
     pc = tp.classify_point(spec)
-    law = tp.magnetization_law(spec, N)
-    draws = tp.exact_sample(law, n_samples, seed)
+    draws = tp.draw_magnetizations(spec, N, n_samples, seed)
     rescaled = tp.rescale(draws, spec, pc, N)
     write_samples_csv(outdir / f"samples_{name}.csv", rescaled, spec, N, seed)
 

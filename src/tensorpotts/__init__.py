@@ -23,7 +23,7 @@ _EXPORTS = {
         "ExactLaw", "BProfile", "HProfile", "colour_marginals", "expect_u1", "expect_up",
         "log_partition", "magnetization_law", "tail_prob"),
     "sampling": (
-        "RescaledSample", "RescaledSamples", "exact_sample", "rescale"),
+        "RescaledSample", "RescaledSamples", "draw_magnetizations", "exact_sample", "rescale"),
     "laws": (
         "ComposedLaw", "GaussianSimplex", "GridLaw", "HalfNormalLaw",
         "MixtureGaussianSimplex", "MixtureLaw", "NormalLaw", "ScalarLaw", "bhat_limit",

@@ -127,9 +127,9 @@ def cmd_exact(args) -> None:
 
 def _exact_draws(args, spec: ModelSpec, samples: int) -> np.ndarray:
     """``samples`` rows drawn with --seed from the exact law at --N."""
-    from . import exact, sampling
+    from . import sampling
 
-    return sampling.exact_sample(exact.magnetization_law(spec, args.N), samples, args.seed)
+    return sampling.draw_magnetizations(spec, args.N, samples, args.seed)
 
 
 def _rescaled_draws(args, spec: ModelSpec):

@@ -23,8 +23,11 @@ Each per-colour term is a lookup in one of three tables over c = 0..N
   closed under those permutations is constant on each orbit;
 * compositions (C(N+q-1, q-1) of them, never the q^N configurations), in
   lexicographic blocks built without Python loops over rows.  Their one
-  consumer is ``magnetization_law``, which keeps the full support for
-  inversion sampling.
+  consumer is ``magnetization_law``, the full support that
+  ``sampling.exact_sample`` inverts: the oracle of
+  ``sampling.draw_magnetizations``, which draws colour by colour from the
+  partial convolutions G_1..G_{q-1} instead, and the law for callers that
+  already hold one.
 
 The orbit rows and the full support are checked against one byte budget,
 ``SUPPORT_BYTES``, before they are built.  Each maximum-likelihood Newton
@@ -172,22 +175,21 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _colour_convolutions(spec: ModelSpec, N: int) -> tuple:
-    """(g, G_{q-2}, G_{q-1}) over c = 0..N, with g(c) = -log c! + beta N (c/N)^p
-    and G_k = G_{k-1} * g; G_{q-2} is None at q = 2, where G_0 is the unit."""
+def _colour_convolutions(spec: ModelSpec, N: int) -> list:
+    """[G_1, ..., G_{q-1}] over c = 0..N: G_1 = g, g(c) = -log c! + beta N (c/N)^p,
+    and G_k = G_{k-1} * g, the log-mass of k colours sharing c (G_0 is the unit)."""
     _check_support(N, spec.q)
     lgam, xp, _ = _weight_tables(spec.p, N)
-    g = spec.beta * N * xp - lgam
-    below, others = None, g
+    convs = [spec.beta * N * xp - lgam]
     for _ in range(spec.q - 2):
-        below, others = others, _log_convolve(others, g)
-    return g, below, others
+        convs.append(_log_convolve(convs[-1], convs[0]))
+    return convs
 
 
 def _c1_log_profile(spec: ModelSpec, N: int) -> np.ndarray:
     """h-free log-mass of c_1 = 0..N: log N! + g(c_1) + G_{q-1}(N - c_1)."""
-    g, _, others = _colour_convolutions(spec, N)
-    return math.lgamma(N + 1.0) + g + others[::-1]
+    convs = _colour_convolutions(spec, N)
+    return math.lgamma(N + 1.0) + convs[0] + convs[-1][::-1]
 
 
 def _log_z(spec: ModelSpec, N: int, g: np.ndarray, others: np.ndarray) -> float:
@@ -200,8 +202,8 @@ def _log_z(spec: ModelSpec, N: int, g: np.ndarray, others: np.ndarray) -> float:
 
 def log_partition(spec: ModelSpec, N: int) -> float:
     """log of q^N Z_N: the log-sum of the weights of all compositions."""
-    g, _, others = _colour_convolutions(spec, N)
-    return _log_z(spec, N, g, others)
+    convs = _colour_convolutions(spec, N)
+    return _log_z(spec, N, convs[0], convs[-1])
 
 
 def colour_marginals(spec: ModelSpec, N: int) -> tuple:
@@ -212,9 +214,10 @@ def colour_marginals(spec: ModelSpec, N: int) -> tuple:
     Colours 2..q are exchangeable at fixed h and share
     g(j) + [(g + h id) * G_{q-2}](N - j); at q = 2 that is colour 1 reversed.
     """
-    g, below, others = _colour_convolutions(spec, N)
+    convs = _colour_convolutions(spec, N)
+    g, others = convs[0], convs[-1]
     tilted = g + spec.h * np.arange(N + 1)
-    shared = tilted if below is None else _log_convolve(tilted, below)
+    shared = tilted if spec.q == 2 else _log_convolve(tilted, convs[-2])
     return (_normalized(tilted + others[::-1]), _normalized(g + shared[::-1]),
             _log_z(spec, N, g, others))
 
@@ -299,7 +302,7 @@ def magnetization_law(spec: ModelSpec, N: int) -> ExactLaw:
     """Materialize the exact law (support + normalized log-probabilities); the
     int64 counts and float64 log-prob keep (q + 1) * 8 bytes per composition.
 
-    The one consumer of the full support: inversion sampling needs it.
+    The one consumer of the full support, inverted by ``sampling.exact_sample``.
     """
     _check_support(N, spec.q)
     count = _check_bytes(n_compositions(N, spec.q), (spec.q + 1) * 8)

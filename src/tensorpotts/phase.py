@@ -163,9 +163,10 @@ MIN_CONTINUATION_STEP = 1e-9
 
 # The landmark scans and the tie certificate run on 1024 uniform cells plus
 # a geometric tail toward the guard, where the ordered maximizer of large p
-# sits: Newton needs a start within a factor e of the true 1 - s.
-_GRID = np.union1d(np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025),
-                   1.0 - np.logspace(-9, -3, 49))
+# sits: Newton needs a start within a factor e of the true 1 - s.  The tail
+# holds the guard edge 1 - 1e-9.  np.union1d would import numpy.ma (np.unique).
+_GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025)[:-1],
+                                1.0 - np.logspace(-9, -3, 49)]))
 
 
 def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:

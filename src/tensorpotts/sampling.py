@@ -1,7 +1,11 @@
 """Sampling the magnetization by exact inversion, and its rescaled statistics.
 
-Exact draws invert the cumulative law of an :class:`~tensorpotts.exact.ExactLaw`,
-with uniforms from a Philox generator seeded by the caller.
+Exact draws invert the lexicographic cumulative law of the compositions, with
+one uniform per draw from a Philox generator seeded by the caller.
+``draw_magnetizations`` inverts it colour by colour from the exact engine's
+partial convolutions, in O(qN + n_samples) memory at any N.  ``exact_sample``
+inverts the full support of an :class:`~tensorpotts.exact.ExactLaw`; it is
+kept for callers that already hold one, and as the oracle of the first.
 
 ``rescale`` produces the scaled statistics whose limits the law module
 constructs: sqrt(N) deviations at regular/critical points, and the
@@ -19,7 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import exact
 from .errors import DomainError
 from .exact import ExactLaw
 from .model import ModelSpec, u_vector
@@ -70,7 +76,13 @@ class RescaledSamples:
 
 
 def exact_sample(law: ExactLaw, n_samples: int, seed: int) -> np.ndarray:
-    """i.i.d. magnetization draws by CDF inversion; rows are ProbVectors."""
+    """i.i.d. magnetization draws by CDF inversion over the full support; rows
+    are ProbVectors.
+
+    Kept for callers that already hold an ExactLaw, where inverting its
+    support is cheaper than ``draw_magnetizations``, and as that sampler's
+    oracle: with the same seed both give the same rows.
+    """
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
     if n_samples == 0:
@@ -83,6 +95,85 @@ def exact_sample(law: ExactLaw, n_samples: int, seed: int) -> np.ndarray:
     u = np.random.Generator(np.random.Philox(seed)).random(n_samples)
     idx = np.searchsorted(cum, u, side="left")
     return law.support[idx] / law.N
+
+
+def draw_magnetizations(spec: ModelSpec, N: int, n_samples: int, seed: int) -> np.ndarray:
+    """i.i.d. draws from the exact law at N, colour by colour, without its support.
+
+    Forward filtering, backward sampling over colours: the partial
+    convolutions G_k of ``exact._colour_convolutions`` give c_1 from its
+    h-tilted profile g(c) + h c + G_{q-1}(N - c), then each next c_r, given
+    what is left (R), from g(c) + G_{q-r}(R - c); c_q = R.  Each draw spends
+    one Philox uniform, rescaled inside every chosen cell, so a row is the
+    lexicographic inversion that ``exact_sample`` makes with the same seed;
+    the two differ only where a uniform lies within rounding of a cell edge.
+    Memory is O(qN + n_samples).
+    """
+    exact._check_support(N, spec.q)
+    if n_samples < 0:
+        raise DomainError("n_samples must be >= 0")
+    if n_samples == 0:
+        return np.empty((0, spec.q))
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    convs = exact._colour_convolutions(spec, N)
+    u = np.random.Generator(np.random.Philox(seed)).random(n_samples)
+    counts = np.empty((n_samples, spec.q), dtype=np.int64)
+    left = np.full(n_samples, N, dtype=np.int64)
+    base = convs[0] + spec.h * np.arange(N + 1)
+    for r in range(spec.q - 1):
+        counts[:, r], u = _invert_colour(base, convs[spec.q - 2 - r], left, u)
+        left = left - counts[:, r]
+        base = convs[0]
+    counts[:, -1] = left
+    return counts / N
+
+
+def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.ndarray) -> tuple:
+    """Invert ``u`` in the law of c = 0..R with log-mass base(c) + tail(R - c),
+    R = ``left`` per draw; return c and ``u`` rescaled to [0, 1] in c's cell.
+
+    One cumulative row per R value present, built in blocks of consecutive
+    values of at most about ``exact.CONV_CELLS`` cells.
+    """
+    N = len(tail) - 1
+    padded = np.concatenate([tail[::-1], np.full(N, -np.inf)])
+    windows = sliding_window_view(padded, N + 1)  # windows[N - R][c] = tail[R - c], -inf for c > R
+    values = np.flatnonzero(np.bincount(left, minlength=N + 1))
+    c, rescaled = np.empty_like(left), np.empty_like(u)
+    lo = 0
+    while lo < len(values):
+        cells = np.arange(1, len(values) - lo + 1) * (values[lo:] + 1)
+        hi = lo + max(1, int(np.searchsorted(cells, exact.CONV_CELLS, side="right")))
+        width = values[hi - 1] + 1
+        cum = base[:width] + windows[:, :width][N - values[lo:hi]]
+        cum -= cum.max(axis=1, keepdims=True)
+        np.exp(cum, out=cum)
+        np.cumsum(cum, axis=1, out=cum)
+        cum /= cum[:, -1:]  # row R is exactly 1 from column R on
+        pick = (left >= values[lo]) & (left < width)
+        row = np.searchsorted(values[lo:hi], left[pick])
+        c[pick], rescaled[pick] = _rescaled_inverse(cum, row, u[pick])
+        lo = hi
+    return c, rescaled
+
+
+def _rescaled_inverse(cum: np.ndarray, row: np.ndarray, u: np.ndarray) -> tuple:
+    """Per draw, the first column j with cum[row, j] >= u (``searchsorted``
+    side left, by bisection over columns), and u rescaled within that cell.
+
+    A zero-width cell is only chosen at u = 0 in column 0; it rescales to 0.
+    """
+    lo = np.zeros(len(u), dtype=np.int64)
+    hi = np.full(len(u), cum.shape[1] - 1)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        right = cum[row, mid] < u
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    below = np.where(lo > 0, cum[row, lo - 1], 0.0)
+    width = cum[row, lo] - below
+    return lo, np.divide(u - below, width, out=np.zeros_like(u), where=width > 0)
 
 
 def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> RescaledSamples:

@@ -168,6 +168,19 @@ class TestSimulate:
         header = out_file.read_text().splitlines()[1]
         assert header == "x1,x2,x3,t_n,v_2,v_3"
 
+    def test_draws_beyond_the_full_support(self, capsys, tmp_path):
+        # C(1004, 4) = 4.2e10 compositions, 2.0e12 support bytes: the draws
+        # come from the colour convolutions, so no byte budget applies
+        out_file = tmp_path / "s.csv"
+        code, out = run_cli(capsys, "simulate", "--p", "4", "--q", "5", "--beta", "0.6",
+                            "--h", "0.3", "--N", "1000", "--samples", "2000", "--seed", "1",
+                            "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out)["n_samples"] == 2000
+        rows = np.loadtxt(out_file, delimiter=",", skiprows=2)
+        assert rows.shape == (2000, 5)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+
     def test_zero_samples_keep_the_special_columns(self, capsys, tmp_path):
         # the header follows the scaling, not the first row
         from tensorpotts import compute_special_point
@@ -383,6 +396,7 @@ class TestExitCodes:
             raise AssertionError("the law was built before the flags were checked")
 
         monkeypatch.setattr(exact, "magnetization_law", no_law)
+        monkeypatch.setattr(exact, "_colour_convolutions", no_law)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("precondition violation: --")
@@ -393,17 +407,23 @@ def _modules_after(commands, imports=(), block=()):
     with the packages in ``block`` made unimportable; return its sys.modules names."""
     script = (
         "import json, sys\n"
-        + "".join(f"sys.modules[{name!r}] = None\n" for name in block)
+        + "".join(f"sys.modules[{name!r}] = None\n" for name in block) +
+        "import numpy\n"
+        "ma_with_numpy = 'numpy.ma' in sys.modules\n"
         + "".join(f"import {name}\n" for name in imports) +
         "from tensorpotts.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "sys.stderr.write(json.dumps(sorted(sys.modules)))\n")
+        "sys.stderr.write(json.dumps([ma_with_numpy, sorted(sys.modules)]))\n")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+    ma_with_numpy, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    # np.unique (and np.union1d) import numpy.ma, about 15 ms per command;
+    # an older numpy may import it with numpy itself
+    assert ma_with_numpy or "numpy.ma" not in loaded
+    return set(loaded)
 
 
 class TestImports:
