@@ -390,15 +390,20 @@ class ComposedLaw(ScalarLaw):
         vals = self.outer.cdf(-mu)
         return float(vals) if t.ndim == 0 else vals
 
+    def _mean_grid(self) -> np.ndarray:
+        """The t-grid nodes and the t at which the interpolated mean crosses a
+        node of the outer grid, sorted, each once (np.union1d would import numpy.ma)."""
+        crossings = np.interp(self.outer.x, -self._mu_grid, self._t_grid)
+        t = np.sort(np.concatenate([self._t_grid, crossings]))
+        return t[np.append(True, t[1:] != t[:-1])]
+
     def mean(self) -> float:
         """t_max minus the integral of the cdf over the t-grid, exactly.
 
-        The cdf is 0 and 1 at the grid ends.  Between the grid nodes and the
-        t at which the interpolated mean crosses a node of the outer grid it
-        is linear, so the trapezoid rule on the union of both is exact.
+        The cdf is 0 and 1 at the grid ends.  Between the nodes of
+        ``_mean_grid`` it is linear, so the trapezoid rule there is exact.
         """
-        crossings = np.interp(self.outer.x, -self._mu_grid, self._t_grid)
-        t = np.union1d(self._t_grid, crossings)
+        t = self._mean_grid()
         f = self.cdf(t)
         return float(t[-1] - np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
 

@@ -5,7 +5,8 @@ paths: finite differences instead of closed-form derivatives, configuration
 enumeration instead of composition enumeration, mpmath instead of float64.
 The full-support oracles read the compositions from ``composition_blocks``
 and weigh them by the explicit lgamma formula, not by the library's tables,
-profiles or orbits.
+profiles or orbits.  ``OrbitSum`` reweights every orbit row that
+``exact._orbit_blocks`` yields, the rows ``BProfile`` prunes.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from tensorpotts import ModelSpec
-from tensorpotts.exact import composition_blocks
+from tensorpotts.exact import _orbit_blocks, composition_blocks
 
 
 def trapezoid(y, x) -> float:
@@ -84,6 +85,39 @@ def stream_tail_prob(spec: ModelSpec, N: int, eps: float, maximizers) -> float:
         return (d2 >= eps * eps).astype(float)
 
     return stream_expectation(spec, N, far)
+
+
+class OrbitSum:
+    """u_{N,p} and N Var(sum xbar_r^p) summed over every orbit row, unpruned.
+
+    ``base`` and ``pnorm`` are the rows' beta-free log-weights and p-norms in
+    the library's row order; ``moments`` takes any beta, negative included.
+    """
+
+    def __init__(self, spec: ModelSpec, N: int):
+        count, blocks = _orbit_blocks(spec, N, 2 * 8)
+        self.N = N
+        self.base, self.pnorm = np.empty(count), np.empty(count)
+        pos = 0
+        for block, base, pnorm in blocks:
+            self.base[pos:pos + len(block)] = base
+            self.pnorm[pos:pos + len(block)] = pnorm
+            pos += len(block)
+
+    def log_weights(self, beta: float) -> np.ndarray:
+        return self.base + self.pnorm * (self.N * beta)
+
+    def moments(self, beta: float) -> tuple:
+        w = self.log_weights(beta)
+        w -= w.max()
+        np.exp(np.maximum(w, -700.0, out=w), out=w)
+        z = w.sum()
+        mean = np.einsum("i,i", w, self.pnorm) / z
+        second = np.einsum("i,i,i", w, self.pnorm, self.pnorm) / z
+        return float(mean), float(self.N * (second - mean * mean))
+
+    def up(self, beta: float) -> float:
+        return self.moments(beta)[0]
 
 
 def mp_free_energy(spec: ModelSpec, v, dps: int = 60) -> float:

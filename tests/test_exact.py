@@ -1,5 +1,6 @@
 """Exact enumeration engine against configuration-space brute force."""
 
+import gc
 import itertools
 import math
 import time
@@ -32,6 +33,7 @@ from tensorpotts.errors import DomainError, SupportSizeError
 from scipy.special import gammaln
 
 from conftest import (
+    OrbitSum,
     brute_force_log_partition,
     central_difference,
     rng,
@@ -316,6 +318,66 @@ class TestProfiles:
             central_difference(bprof.up, beta, 1e-4), rel=1e-6)
 
 
+# (p, q, beta, h), N: the coverage point and beyond, q = 4, strong coupling,
+# exact ties at h = 0, and q = 2
+PRUNING_POINTS = [((4, 3, 0.616, 0.67), 1000), ((4, 3, 0.616, 0.67), 3000),
+                  ((4, 4, 0.6, 0.5), 300), ((4, 3, 2.0, 0.3), 500),
+                  ((4, 3, 1.3, 0.0), 500), ((2, 2, 0.5, 0.1), 2000)]
+PRUNING_BETAS = np.append(np.linspace(0.0, 2.0, 9),
+                          [0.616, 1.3, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0, 1000.0])
+
+
+@pytest.fixture(scope="module", params=PRUNING_POINTS,
+                ids=[f"{p}-{q}-{beta}-{h}-{N}" for (p, q, beta, h), N in PRUNING_POINTS])
+def pruned_and_full(request):
+    point, N = request.param
+    spec = ModelSpec(*point)
+    return BProfile(spec, N), OrbitSum(spec, N)
+
+
+class TestOrbitPruning:
+    def test_moments_match_unpruned_sum(self, pruned_and_full):
+        profile, full = pruned_and_full
+        for beta in PRUNING_BETAS:
+            mean, var = profile.moments(beta)
+            ref_mean, ref_var = full.moments(beta)
+            assert abs(mean - ref_mean) <= 1e-14 * ref_mean, beta
+            assert abs(var - ref_var) <= full.N * 1e-14, beta
+
+    def test_dropped_rows_lie_below_cut(self, pruned_and_full):
+        profile, full = pruned_and_full
+        keep = exact._certified_rows(full.base, full.pnorm)
+        assert np.array_equal(profile._rest, full.base[keep])
+        assert np.array_equal(profile._pnorm, full.pnorm[keep])
+        if keep.all():
+            return
+        for beta in PRUNING_BETAS:
+            lw = full.log_weights(beta)
+            assert lw[~keep].max() < lw.max() - exact.CUT, beta
+
+    def test_keeps_a_quarter_at_the_coverage_point(self, fig_regular_spec):
+        profile, full = BProfile(fig_regular_spec, 1000), OrbitSum(fig_regular_spec, 1000)
+        assert len(full.base) == 251_001
+        assert len(profile._rest) < 0.26 * len(full.base)
+
+    def test_build_leaves_no_reference_cycle(self, fig_regular_spec):
+        # a cycle would keep the unpruned columns alive until the collector runs
+        BProfile(fig_regular_spec, 50)
+        gc.collect()
+        gc.disable()
+        try:
+            BProfile(fig_regular_spec, 200).moments(0.6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("beta", [-0.1, -1e-300, math.nan, math.inf])
+    def test_moments_outside_the_certificate_raise(self, beta):
+        profile = BProfile(ModelSpec(4, 3, 0.616, 0.67), 40)
+        with pytest.raises(DomainError):
+            profile.moments(beta)
+
+
 def _compositions(N, q):
     """Compositions of N into q parts by plain recursion: the test oracle."""
     if q == 1:
@@ -371,6 +433,18 @@ def test_log_factorials_match_mpmath():
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.loggamma(int(k) + 1)) for k in ks])
     assert np.all(np.abs(log_fact[ks] - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def test_log_factorials_are_one_read_only_table():
+    ref = np.array([math.lgamma(c + 1.0) for c in range(3001)])
+    assert exact._log_factorials(50).tobytes() == ref[:51].tobytes()
+    table = exact._log_factorials(3000)
+    assert table.tobytes() == ref.tobytes()
+    assert not table.flags.writeable
+    # a shorter table is a prefix of the same one, not a rebuild
+    assert np.shares_memory(exact._weight_tables(4, 100)[0], exact._log_factorials(2000))
+    with pytest.raises(ValueError):
+        exact._weight_tables(4, 100)[0][0] = 1.0
 
 
 class TestSupportBudget:

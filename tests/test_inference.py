@@ -17,6 +17,7 @@ from tensorpotts import (
     compute_special_point,
     critical_slice_beta,
     critical_slice_h,
+    draw_magnetizations,
     exact_sample,
     expect_u1,
     expect_up,
@@ -30,7 +31,7 @@ from tensorpotts.errors import DegenerateIntervalError, DomainError, Preconditio
 from tensorpotts.exact import BProfile, HProfile
 from tensorpotts import inference
 
-from conftest import rng
+from conftest import OrbitSum, rng
 
 
 class TestRootRecovery:
@@ -153,6 +154,18 @@ class TestNewtonSolver:
             est = mle_beta(fig_regular_spec, float(np.sum(x ** 4)), N, profile=profile)
             assert est.converged
             assert profile.calls <= 12
+
+    def test_pruned_solve_matches_unpruned_at_coverage_point(self, fig_regular_spec):
+        N = 1000
+        pruned, full = BProfile(fig_regular_spec, N), OrbitSum(fig_regular_spec, N)
+        # the rows of exact_sample(magnetization_law(...), 20, seed=72)
+        for x in draw_magnetizations(fig_regular_spec, N, 20, seed=72):
+            observed = float(np.sum(x ** 4))
+            got = mle_beta(fig_regular_spec, observed, N, profile=pruned)
+            ref = mle_beta(fig_regular_spec, observed, N, profile=full)
+            assert got.converged and ref.converged
+            assert abs(got.estimate - ref.estimate) <= 1e-13
+            assert got.iterations == ref.iterations
 
     def test_upper_boundary_flagged(self):
         spec = ModelSpec(4, 3, 0.5, 0.1)

@@ -1,6 +1,10 @@
 """Limit-law constructors: normalization, symmetry, composition, mixtures."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +48,8 @@ from tensorpotts.laws import (
 )
 
 from conftest import trapezoid
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +481,40 @@ def test_composed_mean_matches_quantile_average(name, special43):
         law = hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
     us = np.linspace(0.0005, 0.9995, 999)
     assert law.mean() == pytest.approx(np.mean([law.quantile(u) for u in us]), abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["G1", "L1", "G2"])
+def test_composed_mean_grid_is_the_union(name, special43):
+    if name == "G2":
+        spec = ModelSpec(4, 2, 2 / 3, 0.0)
+        law = hhat_limit(spec, classify_point(spec))
+    else:
+        spec, pc = special43
+        law = hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
+    crossings = np.interp(law.outer.x, -law._mu_grid, law._t_grid)
+    t = np.union1d(law._t_grid, crossings)
+    assert law._mean_grid().tobytes() == t.tobytes()
+    f = law.cdf(t)
+    assert law.mean() == float(t[-1] - np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
+
+
+def test_composed_mean_loads_no_numpy_ma():
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "ma_with_numpy = 'numpy.ma' in sys.modules\n"
+        "from tensorpotts import ModelSpec, classify_point, compute_special_point, hhat_limit\n"
+        "sp = compute_special_point(4, 3)\n"
+        "spec = ModelSpec(4, 3, sp.beta_tilde, sp.h_tilde)\n"
+        "hhat_limit(spec, classify_point(spec)).mean()\n"
+        "print(json.dumps([ma_with_numpy, 'numpy.ma' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ma_with_numpy, ma_after = json.loads(proc.stdout.strip().splitlines()[-1])
+    # an older numpy may import numpy.ma with numpy itself
+    assert ma_with_numpy or not ma_after
 
 
 @pytest.mark.parametrize("shift,slope", [(2.0, 3.0), (-5.0, 0.5), (0.3, 40.0)])
