@@ -118,9 +118,21 @@ def _weight_tables(p: int, N: int) -> tuple:
 
 
 def _log_weights(spec: ModelSpec, N: int, block: np.ndarray, tables: tuple) -> np.ndarray:
+    """log N! - sum_r log c_r! + N (beta sum_r (c_r/N)^p + h c_1/N) per row.
+
+    The sums run colour by colour, left to right: the same adds in the same
+    order as ``.sum(axis=1)`` for q <= 7 (same bits), without its per-row
+    loop over the short axis; numpy sums 8 or more terms pairwise, so from
+    q = 8 on the last bits may differ.
+    """
     lgam, xp, x = tables
-    lw = math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
-    lw += N * (spec.beta * xp[block].sum(axis=1) + spec.h * x[block[:, 0]])
+    first = block[:, 0]
+    log_fact, powers = lgam[first], xp[first]
+    for col in block.T[1:]:
+        log_fact += lgam[col]
+        powers += xp[col]
+    lw = math.lgamma(N + 1.0) - log_fact
+    lw += N * (spec.beta * powers + spec.h * x[first])
     return lw
 
 

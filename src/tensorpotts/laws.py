@@ -10,7 +10,8 @@ Scalar laws come in a few families:
   explicit mass fields, never numeric sentinels);
 * composed estimator laws whose cdf at t evaluates the mean of a t-tilted
   member of the family and feeds it through the zero-tilt cdf (the means of
-  all tilts come from one blocked Simpson quadrature, ``_tilted_means``);
+  all tilts come from ``_tilted_means``: a short Simpson rule on a window
+  around each tilted density's mode, all tilts at once);
 * chi-square laws, exact through the incomplete gamma function (the one
   path that imports scipy, when it is used).
 
@@ -364,8 +365,9 @@ class ComposedLaw(ScalarLaw):
 
     ``outer`` is the zero-tilt cdf of the family; ``tilted_mean`` maps an array
     of tilts t to the means of the t-tilted members, strictly decreasing in t.
-    mu is tabulated by one vectorised call on a range wide enough that the
-    outer cdf saturates beyond it.
+    One vectorised call at the powers of two up to 2^30 finds a range wide
+    enough that the outer cdf saturates beyond it, and one more tabulates mu
+    on it.
     """
 
     kind = "Composed"
@@ -374,9 +376,11 @@ class ComposedLaw(ScalarLaw):
         self.name = name
         self.outer = outer
         radius = float(outer.x[-1])
-        t_max = 1.0
-        while abs(tilted_mean(np.array([t_max]))[0]) < radius and t_max < 1e9:
-            t_max *= 2.0
+        # the first power of two whose mean leaves the outer grid, capped at 2^30
+        candidates = 2.0 ** np.arange(31)
+        reached = np.abs(tilted_mean(candidates)) >= radius
+        reached[-1] = True
+        t_max = float(candidates[np.argmax(reached)])
         # sinh spacing: dense where the cdf moves fastest (small t), still
         # reaching the saturation range
         u = np.linspace(-1.0, 1.0, 1025)
@@ -545,32 +549,86 @@ def _tilt_radius(coef_high: float, degree: int, coef1):
     return r
 
 
-_TILT_BLOCK = 64  # rows per block: each (64, GRID_POINTS) temporary is ~2 MB
+_TILT_NODES = 257  # Simpson nodes on each tilt's window around its mode
+_TILT_BLOCK = 64  # tilts per block: each (64, _TILT_NODES) temporary is ~130 kB
+
+
+def _mode_gap_coefs(mode: np.ndarray, degree: int) -> list:
+    """C(d, k) mode^(d-k) for k = d, ..., 2, highest first: with s^2 in front,
+    the Horner coefficients of (mode + s)^d - mode^d - d mode^(d-1) s, the
+    binomial tail that the exponent drops from its mode (no cancellation)."""
+    coefs, power = [], np.ones_like(mode)
+    for k in range(degree, 1, -1):
+        coefs.append(math.comb(degree, k) * power)
+        power = power * mode
+    return coefs
+
+
+def _tail_widths(coef_high: float, degree: int, mode: np.ndarray) -> np.ndarray:
+    """delta > 0 where coef_high ((mode + delta)^d - mode^d - d mode^(d-1) delta)
+    reaches TAIL_LOG_EPS, elementwise: the right half-width of the window of a
+    density with this mode (the left one is the right one at -mode).
+
+    The gap is concave in delta, so Newton from a point beyond the root stays
+    beyond it.  The start delta0 = (2^(d-2) |eps| / |coef_high|)^(1/d) lies
+    beyond the root for every mode: (x + s)^n - x^n >= s^n / 2^(n-1) for odd
+    n, so the gap is at least delta^d / 2^(d-2).  Every iterate is a valid
+    half-width; the loop stops once no step moves delta by more than 1e-3 of
+    itself.
+    """
+    scale = abs(coef_high)
+    coefs = _mode_gap_coefs(mode, degree)
+    slopes = [(degree - j) * c for j, c in enumerate(coefs)]
+    delta = np.full(len(mode), (2.0 ** (degree - 2) * -TAIL_LOG_EPS / scale) ** (1.0 / degree))
+    for _ in range(100):
+        excess = scale * delta * delta * _polyval(delta, coefs) + TAIL_LOG_EPS
+        step = excess / (scale * delta * _polyval(delta, slopes))
+        delta -= step
+        if np.max(step / delta) <= 1e-3:
+            break
+    return delta
 
 
 def _tilted_means(coef_high: float, degree: int, coef1: np.ndarray) -> np.ndarray:
     """Means of exp(coef_high x^degree + c x) for every c in the 1-D ``coef1``.
 
-    Same rule as ``GridLaw(...).mean()``: GRID_POINTS points on [-R_c, R_c]
-    (R_c from ``_tilt_radius``) and ``_simpson_weights``, whose step cancels
-    in the ratio.  Each grid is R_c times one shared linspace(-1, 1).
+    The mean is odd in c, so each distinct |c| is integrated once.  Its mode
+    is x* = (|c| / (d |coef_high|))^(1/(d-1)), and the exponent, less its
+    value there, is coef_high s^2 (C(d,2) x*^(d-2) + ... + s^(d-2)) at x* + s.
+    The window [x* - delta-, x* + delta+] ends where that falls TAIL_LOG_EPS
+    (``_tail_widths``); _TILT_NODES Simpson nodes on it, whose step cancels
+    in the ratio, give the mean L + W (e.(w u)) / (e.w) with L = x* - delta-,
+    W = delta- + delta+ and one shared u on [0, 1].  This is not the rule of
+    ``GridLaw(...).mean()`` (GRID_POINTS nodes on [-R_c, R_c]), but agrees
+    with it within 1e-12.
     """
     coef1 = np.asarray(coef1, dtype=float)
-    radius = _tilt_radius(coef_high, degree, coef1)
-    u = np.linspace(-1.0, 1.0, GRID_POINTS)
-    u_high = u ** degree
-    weights = _simpson_weights(GRID_POINTS)
+    size = np.abs(coef1)
+    order = np.argsort(size)
+    sizes = size[order]
+    first = np.append(True, sizes[1:] != sizes[:-1])
+    c = sizes[first]
+    mode = (c / (degree * -coef_high)) ** (1.0 / (degree - 1))
+    widths = _tail_widths(coef_high, degree, np.concatenate([mode, -mode]))
+    left, width = widths[len(c):], widths[:len(c)] + widths[len(c):]
+    u = np.linspace(0.0, 1.0, _TILT_NODES)
+    weights = _simpson_weights(_TILT_NODES)
     weighted_u = weights * u
-    out = np.empty(len(coef1))
-    for lo in range(0, len(coef1), _TILT_BLOCK):
-        c, r = coef1[lo:lo + _TILT_BLOCK], radius[lo:lo + _TILT_BLOCK]
-        ld = np.multiply.outer(coef_high * r ** degree, u_high)
-        ld += np.multiply.outer(c * r, u)
-        ld -= ld.max(axis=1, keepdims=True)
+    gap = [coef_high * k for k in _mode_gap_coefs(mode, degree)]
+    means = np.empty(len(c))
+    for lo in range(0, len(c), _TILT_BLOCK):
+        block = slice(lo, lo + _TILT_BLOCK)
+        s = np.multiply.outer(width[block], u)
+        s -= left[block, None]
+        ld = _polyval(s, [k[block, None] for k in gap])
+        ld *= s
+        ld *= s
         np.exp(ld, out=ld)
-        out[lo:lo + _TILT_BLOCK] = (r * np.einsum("ij,j->i", ld, weighted_u)
-                                    / np.einsum("ij,j->i", ld, weights))
-    return out
+        means[block] = ld @ weighted_u / (ld @ weights)
+    means = mode - left + width * means
+    out = np.empty(len(coef1))
+    out[order] = means[np.cumsum(first) - 1]
+    return np.sign(coef1) * out
 
 
 def _maximizer_info(spec: ModelSpec, point_class: PointClass):

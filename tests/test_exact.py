@@ -36,6 +36,7 @@ from conftest import (
     OrbitSum,
     brute_force_log_partition,
     central_difference,
+    log_weights,
     rng,
     stream_expectation,
     stream_tail_prob,
@@ -149,6 +150,20 @@ class TestLogWeight:
                 mine = log_partition(spec, N)
                 brute = brute_force_log_partition(spec, N)
                 assert abs(mine - brute) / abs(brute) < 1e-12
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_column_sums_match_row_sums(self, q):
+        # conftest's log_weights reduces the (M, q) gathers with .sum(axis=1);
+        # numpy adds fewer than 8 terms left to right and 8 or more pairwise
+        spec = ModelSpec(3, q, 0.7, 0.3)
+        N = 9
+        block = support(N, q)
+        mine = exact._log_weights(spec, N, block, exact._weight_tables(spec.p, N))
+        reference = log_weights(spec, N, block)
+        if q <= 7:
+            assert mine.tobytes() == reference.tobytes()
+        else:
+            assert np.max(np.abs(mine - reference) / np.abs(reference)) <= 1e-12
 
 
 class TestPartitionMonotone:

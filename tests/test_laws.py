@@ -388,6 +388,55 @@ def test_tilted_means_match_scalar_grid_law(degree, coef_high, tilts):
         assert abs(mean - law.mean()) <= 1e-12
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("tilt", [-1e3, 1e3])
+def test_tilted_means_narrow_peak(degree, tilt):
+    # a flat high-order term and a large tilt: the peak is a small fraction of [-R_c, R_c]
+    coef_high = -0.01
+    law = GridLaw("Tilt", lambda x: coef_high * x ** degree + tilt * x,
+                  _tilt_radius(coef_high, degree, tilt))
+    assert abs(_tilted_means(coef_high, degree, np.array([tilt]))[0] - law.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("coef_high", [-0.01, -1.0, -100.0])
+def test_tilted_means_odd_in_tilt(degree, coef_high):
+    tilts = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
+    means = _tilted_means(coef_high, degree, np.concatenate([tilts, -tilts]))
+    plus, minus = means[:len(tilts)], means[len(tilts):]
+    assert np.all(np.abs(plus + minus) <= 1e-14 * np.maximum(1.0, np.abs(plus)))
+
+
+def _composed_law(name, special43):
+    if name == "G2":
+        spec = ModelSpec(4, 2, 2 / 3, 0.0)
+        return hhat_limit(spec, classify_point(spec))
+    spec, pc = special43
+    return hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
+
+
+# quantiles at u = 0.025, 0.5, 0.975 under the earlier rule (GRID_POINTS nodes
+# on all of [-R_c, R_c] for every tilt), at the (4,3) special point and (4,2,2/3,0)
+COMPOSED_QUANTILES = {
+    "G1": (-7.998887950016444, 3.183623668748079e-15, 7.998887950016474),
+    "L1": (-4.90857808964973, 1.9536815624793144e-15, 4.90857808964976),
+    "G2": (-8.450072230801293, 5.234057488394146e-15, 8.450072230801375),
+}
+
+
+@pytest.mark.parametrize("name", ["G1", "L1", "G2"])
+def test_composed_quantiles_pinned(name, special43):
+    law = _composed_law(name, special43)
+    for u, expected in zip((0.025, 0.5, 0.975), COMPOSED_QUANTILES[name]):
+        assert abs(law.quantile(u) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["G1", "L1", "G2"])
+def test_composed_means_strictly_decrease(name, special43):
+    law = _composed_law(name, special43)
+    assert np.all(np.diff(law._mu_grid) < 0)
+
+
 def _reference_grid_law(name, special43):
     spec, pc = special43
     if name == "quartic-0":
@@ -473,24 +522,14 @@ def test_composed_laws_match_scalar_oracle(name, special43):
 
 @pytest.mark.parametrize("name", ["G1", "L1", "G2"])
 def test_composed_mean_matches_quantile_average(name, special43):
-    if name == "G2":
-        spec = ModelSpec(4, 2, 2 / 3, 0.0)
-        law = hhat_limit(spec, classify_point(spec))
-    else:
-        spec, pc = special43
-        law = hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
+    law = _composed_law(name, special43)
     us = np.linspace(0.0005, 0.9995, 999)
     assert law.mean() == pytest.approx(np.mean([law.quantile(u) for u in us]), abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["G1", "L1", "G2"])
 def test_composed_mean_grid_is_the_union(name, special43):
-    if name == "G2":
-        spec = ModelSpec(4, 2, 2 / 3, 0.0)
-        law = hhat_limit(spec, classify_point(spec))
-    else:
-        spec, pc = special43
-        law = hhat_limit(spec, pc) if name == "G1" else bhat_limit(spec, pc)
+    law = _composed_law(name, special43)
     crossings = np.interp(law.outer.x, -law._mu_grid, law._t_grid)
     t = np.union1d(law._t_grid, crossings)
     assert law._mean_grid().tobytes() == t.tobytes()
