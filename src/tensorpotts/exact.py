@@ -382,6 +382,7 @@ class HProfile:
         self._L = _c1_log_profile(spec, N)
         self._j = np.arange(N + 1)
         self._x1 = self._j / N
+        self._ladder = {}  # at most 225 node values of inference._solve_increasing
 
     def moments(self, h: float) -> tuple:
         """(u_{N,1}(h), du_{N,1}/dh = N Var(xbar_1)) from one reweighting."""
@@ -424,6 +425,7 @@ class BProfile:
         keep = _certified_rows(rest, pnorm)
         self._rest = rest[keep]
         self._pnorm = pnorm[keep]
+        self._ladder = {}  # at most 225 node values of inference._solve_increasing
 
     def moments(self, beta: float) -> tuple:
         """(u_{N,p}(beta), du_{N,p}/dbeta = N Var(sum xbar_r^p)) from one reweighting."""

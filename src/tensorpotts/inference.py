@@ -5,11 +5,17 @@ first-coordinate magnetization; the estimate of beta at known h solves
 u_{N,p}(beta, h) = observed p-norm statistic.  Both maps are strictly
 increasing in the estimated parameter (the log-partition function is strictly
 convex), and their derivatives are exact too: N Var(xbar_1) and
-N Var(sum_r xbar_r^p).  The root is bracketed by doubling and then found by
-safeguarded Newton steps that fall back to bisection whenever a step would
-leave the bracket, so the solve converges unconditionally and quadratically
-near the root.  Expectations and derivatives inside the root-finding are
-exact finite-N values from the exact engine, never Monte Carlo.
+N Var(sum_r xbar_r^p).  The root is bracketed on a fixed dyadic ladder:
+doubling from [0, 1], then halving the doubling bracket to cells 1/32 as wide.
+Each profile memoizes its ladder values, so repeated solves on one profile
+(a coverage study, the law of an estimate over every observation) pay only
+for the nodes no earlier solve reached, while every result depends on the
+profile and the observation alone.  Safeguarded Newton steps then start at
+the secant point of the final cell and fall back to bisection whenever a step
+would leave the bracket, so the solve converges unconditionally and
+quadratically near the root.  Expectations and derivatives inside the
+root-finding are exact finite-N values from the exact engine, never Monte
+Carlo.
 
 Confidence sets: the plain plug-in intervals around the estimates are
 asymptotically valid at regular points.  They are made universally valid
@@ -43,6 +49,8 @@ BRACKET_CAP = 64.0
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_STOP_TOL = 1e-13
 MAX_ROOT_ITERATIONS = 200
+# Halvings of the doubling bracket on the solver's ladder: cells 1/32 as wide.
+_LADDER_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -93,17 +101,33 @@ class ConfidenceSet:
         }
 
 
-def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP):
+def _ladder_node(ladder: dict, x: float, fn):
+    """fn(x), read from or stored in the profile's ladder memo."""
+    out = ladder.get(x)
+    if out is None:
+        out = ladder[x] = fn(x)
+    return out
+
+
+def _solve_increasing(value, moments, ladder: dict, observed: float,
+                      cap: float = BRACKET_CAP):
     """Root of the increasing u(x) = observed on [0, cap] by safeguarded Newton.
 
-    ``value(x)`` returns u(x) and brackets the root by doubling from [0, 1];
+    The root is first placed on a fixed dyadic ladder whose node values are
+    kept in ``ladder``, the profile's memo: ``moments(0)`` for the boundary
+    test, the doubling ends 1, 2, 4, ... <= cap (``value(x)`` = u(x)), and
+    the midpoints that halve the doubling bracket _LADDER_DEPTH times.  A
+    solve walks the nodes its own observation selects and computes only those
+    not yet in the memo; node values are pure functions of the profile, so
+    the result depends on (profile, observed) alone, never on earlier solves.
+
     ``moments(x)`` returns (u(x), u'(x)) for the Newton steps, which start at
-    the bracket midpoint.  Every evaluation shrinks the bracket, and a step is
-    replaced by bisection when it would leave the bracket, when u' <= 0, or
-    when it fails to halve the previous step (rtsafe).  The solve stops once
-    both |u - observed| and the Newton correction |u - observed| / u' are at
-    most ROOT_STOP_TOL, or the bracket is narrower than that, so a flat u
-    still gets an accurate root.
+    the secant point of the final ladder cell.  Every evaluation shrinks the
+    bracket, and a step is replaced by bisection when it would leave the
+    bracket, when u' <= 0, or when it fails to halve the previous step
+    (rtsafe).  The solve stops once both |u - observed| and the Newton
+    correction |u - observed| / u' are at most ROOT_STOP_TOL, or the bracket
+    is narrower than that, so a flat u still gets an accurate root.
 
     The lower boundary 0 is the root, flagged as a boundary estimate, when
     u(0) reaches the observation within that same stop test, so the decision
@@ -113,23 +137,35 @@ def _solve_increasing(value, moments, observed: float, cap: float = BRACKET_CAP)
     of 1 is solved to exact equality, which returns a finite point where u
     has saturated to 1 in double precision, flagged as a boundary estimate.
 
-    Returns (root, iterations, bracket, converged, boundary, residual); the
-    residual |u(root) - observed| comes from the evaluation at the root.
+    Returns (root, iterations, bracket, converged, boundary, residual).
+    ``iterations`` counts the ladder nodes walked past 0, cached or not, plus
+    the Newton steps: the evaluations a solve on a fresh profile makes after
+    the boundary test, so a boundary return reports 0.  ``bracket`` is the
+    doubling bracket, and the residual |u(root) - observed| comes from the
+    evaluation at the root.
     """
     at_sup = observed >= 1.0
     tol = 0.0 if at_sup else ROOT_STOP_TOL
-    u_lo, du_lo = moments(0.0)
+    u_lo, du_lo = _ladder_node(ladder, 0.0, moments)
     if u_lo - observed >= -tol * min(1.0, du_lo):
         return 0.0, 0, (0.0, 0.0), True, True, abs(u_lo - observed)
-    lo, hi, iters = 0.0, 1.0, 0
-    while (u_hi := value(hi)) < observed:
+    lo, hi, iters = 0.0, 1.0, 1
+    while (u_hi := _ladder_node(ladder, hi, value)) < observed:
         lo, u_lo = hi, u_hi
         hi *= 2.0
-        iters += 1
         if hi > cap:
             return hi, iters, (lo, hi), False, at_sup, math.nan
+        iters += 1
     bracket = (lo, hi)
-    x = 0.5 * (lo + hi)
+    for _ in range(_LADDER_DEPTH):
+        mid = 0.5 * (lo + hi)
+        u = _ladder_node(ladder, mid, value)
+        iters += 1
+        if u < observed:
+            lo, u_lo = mid, u
+        else:
+            hi, u_hi = mid, u
+    x = lo + (observed - u_lo) * (hi - lo) / (u_hi - u_lo)
     step = hi - lo
     while iters < MAX_ROOT_ITERATIONS:
         u, du = moments(x)
@@ -165,8 +201,8 @@ def mle_h(spec: ModelSpec, observed_x1: float, N: int,
         raise DomainError(f"observed_x1 must be in [0, 1], got {observed_x1}")
     if profile is None:
         profile = HProfile(spec, N)
-    return _estimation_result(
-        observed_x1, *_solve_increasing(profile.u1, profile.moments, observed_x1))
+    return _estimation_result(observed_x1, *_solve_increasing(
+        profile.u1, profile.moments, profile._ladder, observed_x1))
 
 
 def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
@@ -183,8 +219,8 @@ def mle_beta(spec: ModelSpec, observed_pnorm: float, N: int,
             f"observed p-norm must lie in [q^(1-p), 1] = [{q ** (1 - p)}, 1], got {observed_pnorm}")
     if profile is None:
         profile = BProfile(spec, N)
-    return _estimation_result(
-        observed_pnorm, *_solve_increasing(profile.up, profile.moments, observed_pnorm))
+    return _estimation_result(observed_pnorm, *_solve_increasing(
+        profile.up, profile.moments, profile._ladder, observed_pnorm))
 
 
 def _estimation_result(observed, root, iters, bracket, converged, boundary,

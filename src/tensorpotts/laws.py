@@ -95,7 +95,8 @@ class GridLaw(ScalarLaw):
     The truncation radius R is chosen by the caller so the integrand tail is
     below 1e-14 of the mode; ``normalization_error`` records the relative
     Richardson gap between the full grid and its half-resolution subset
-    (n_points = 4k + 1 keeps both node counts odd).  The cdf applies
+    (n_points = 4k + 1 keeps both node counts odd), inf when a mode narrower
+    than the coarse spacing leaves the subset summing to 0.  The cdf applies
     (5 f0 + 8 f1 - f2) h/12 forward on even intervals and backward on odd
     ones, so even nodes carry the composite-Simpson partial sums.
     """
@@ -112,7 +113,7 @@ class GridLaw(ScalarLaw):
         weights = h3 * _simpson_weights(n_points)
         z_fine = np.einsum("i,i->", weights, raw)
         z_coarse = 2.0 * h3 * np.einsum("i,i->", _simpson_weights(len(raw[::2])), raw[::2])
-        self.normalization_error = abs(z_fine / z_coarse - 1.0)
+        self.normalization_error = abs(z_fine / z_coarse - 1.0) if z_coarse > 0 else math.inf
         self.x = x
         f = self.pdf_values = raw / z_fine
         a, b, c = f[:-2:2], f[1::2], f[2::2]

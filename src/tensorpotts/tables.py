@@ -18,4 +18,5 @@ def write_table(path, columns, rows, fmt: str = "csv", comment: str | None = Non
             fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
+            row = tuple(row)
+            fh.write(",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) % row + "\n")

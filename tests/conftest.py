@@ -97,6 +97,7 @@ class OrbitSum:
     def __init__(self, spec: ModelSpec, N: int):
         count, blocks = _orbit_blocks(spec, N, 2 * 8)
         self.N = N
+        self._ladder = {}  # the ML solver's memo, as on the library's profiles
         self.base, self.pnorm = np.empty(count), np.empty(count)
         pos = 0
         for block, base, pnorm in blocks:

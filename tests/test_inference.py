@@ -114,13 +114,34 @@ def _reference_root(u, observed: float) -> float:
 
 
 class _CountingBProfile(BProfile):
-    """BProfile that counts its reweightings (every evaluation is one moments call)."""
+    """BProfile that counts its reweightings (every evaluation is one moments
+    call) and its up calls."""
 
     calls = 0
+    value_calls = 0
 
     def moments(self, beta):
         self.calls += 1
         return super().moments(beta)
+
+    def up(self, beta):
+        self.value_calls += 1
+        return super().up(beta)
+
+
+class _CountingHProfile(HProfile):
+    """HProfile that counts its reweightings and its u1 calls."""
+
+    calls = 0
+    value_calls = 0
+
+    def moments(self, h):
+        self.calls += 1
+        return super().moments(h)
+
+    def u1(self, h):
+        self.value_calls += 1
+        return super().u1(h)
 
 
 class TestNewtonSolver:
@@ -174,6 +195,102 @@ class TestNewtonSolver:
         for est in (est_h, est_b):
             assert est.boundary and est.converged
             assert math.isfinite(est.estimate) and est.residual == 0.0
+
+
+def _ladder_observations(profile_cls, value, stat):
+    """50 observations at the coverage point, N = 300: 44 drawn statistics,
+    values whose roots lie in later doubling cells, and the supremum 1."""
+    spec, N = ModelSpec(4, 3, 0.616, 0.67), 300
+    data = exact_sample(magnetization_law(spec, N), 44, seed=81)
+    profile = profile_cls(spec, N)
+    far = [value(profile, t) for t in (1.5, 3.0, 5.5, 12.0, 40.0)]
+    return spec, N, [float(stat(x)) for x in data] + far + [1.0]
+
+
+LADDER_CASES = [
+    (HProfile, mle_h, HProfile.u1, lambda x: x[0]),
+    (BProfile, mle_beta, BProfile.up, lambda x: np.sum(x ** 4)),
+]
+
+
+def _solution(est):
+    return (est.estimate, est.residual, est.converged, est.boundary, est.bracket)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("profile_cls, mle, value, stat", LADDER_CASES)
+    def test_warm_solves_match_fresh_ones(self, profile_cls, mle, value, stat):
+        spec, N, observations = _ladder_observations(profile_cls, value, stat)
+        gen = rng(82)
+        for i, observed in enumerate(observations):
+            fresh = mle(spec, observed, N, profile=profile_cls(spec, N))
+            warm = profile_cls(spec, N)
+            for j in gen.permutation(len(observations)):
+                if j != i:
+                    mle(spec, observations[j], N, profile=warm)
+            got = mle(spec, observed, N, profile=warm)
+            assert _solution(got) == _solution(fresh)
+            assert got.iterations == fresh.iterations
+
+    @pytest.mark.parametrize("profile_cls, mle, value, stat", LADDER_CASES)
+    def test_roots_match_reference_bisection(self, profile_cls, mle, value, stat):
+        spec, N, observations = _ladder_observations(profile_cls, value, stat)
+        profile = profile_cls(spec, N)
+        for observed in observations:
+            est = mle(spec, observed, N, profile=profile)
+            if est.boundary:
+                continue
+            assert est.converged
+            ref = _reference_root(lambda x: value(profile, x), observed)
+            # 1e-13 where u climbs at unit rate or faster; where u is flatter,
+            # the width in x of a 1e-13 step in u
+            du = profile.moments(est.estimate)[1]
+            assert abs(est.estimate - ref) <= 1e-13 / min(1.0, du)
+
+    def test_boundary_paths(self):
+        spec, N = ModelSpec(4, 3, 0.616, 0.67), 300
+        # at or below u(0): the estimate 0 after the boundary test alone
+        for est in (mle_h(spec, 0.0, N, profile=HProfile(spec, N)),
+                    mle_beta(spec, 3.0 ** -3, N, profile=BProfile(spec, N))):
+            assert (est.estimate, est.iterations, est.bracket) == (0.0, 0, (0.0, 0.0))
+            assert est.converged and est.boundary
+        # observed = 1: the first ladder node where u rounds to 1, in the bracket
+        spec = ModelSpec(4, 3, 0.5, 0.1)
+        for mle, profile, value, bracket in (
+                (mle_h, HProfile(spec, 40), HProfile.u1, (32.0, 64.0)),
+                (mle_beta, BProfile(spec, 40), BProfile.up, (8.0, 16.0))):
+            est = mle(spec, 1.0, 40, profile=profile)
+            assert est.converged and est.boundary and est.residual == 0.0
+            assert est.bracket == bracket
+            assert value(profile, est.estimate) == 1.0
+            cell = (bracket[1] - bracket[0]) * 2.0 ** -inference._LADDER_DEPTH
+            assert value(profile, est.estimate - cell) < 1.0
+        # a root above BRACKET_CAP: u(x) = x / (1 + x) reaches 0.99 at x = 99
+        got = inference._solve_increasing(lambda x: x / (1.0 + x),
+                                          lambda x: (x / (1.0 + x), (1.0 + x) ** -2), {}, 0.99)
+        assert got[:5] == (128.0, 7, (64.0, 128.0), False, False) and math.isnan(got[5])
+
+    def test_fresh_solve_calls_value(self, fig_regular_spec):
+        for observed in (0.606, 0.9):
+            profile = _CountingHProfile(fig_regular_spec, 200)
+            mle_h(fig_regular_spec, observed, 200, profile=profile)
+            assert profile.value_calls >= 1
+        for observed in (0.2, 0.9):
+            profile = _CountingBProfile(fig_regular_spec, 200)
+            mle_beta(fig_regular_spec, observed, 200, profile=profile)
+            assert profile.value_calls >= 1
+
+    def test_warm_profile_needs_few_reweightings(self, fig_regular_spec):
+        N = 1000
+        data = exact_sample(magnetization_law(fig_regular_spec, N), 40, seed=83)
+        h_profile = _CountingHProfile(fig_regular_spec, N)
+        b_profile = _CountingBProfile(fig_regular_spec, N)
+        for x in data:
+            assert mle_h(fig_regular_spec, float(x[0]), N, profile=h_profile).converged
+            assert mle_beta(fig_regular_spec, float(np.sum(x ** 4)), N,
+                            profile=b_profile).converged
+        assert h_profile.calls <= 4 * len(data)
+        assert b_profile.calls <= 5 * len(data)
 
 
 class TestPlainIntervals:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,15 @@ def test_grid_law_cdf_exact_for_quadratic():
     # x f(x) is cubic, so Simpson integrates the mean exactly: (2/3) / (20/3)
     assert law.mean() == pytest.approx(0.1, abs=1e-15)
     assert law.normalization_error <= 1e-15
+
+
+def test_grid_law_flags_a_mode_between_coarse_nodes():
+    # from tilt 2^26 on the sextic mode is narrower than the half-resolution
+    # spacing, so the coarse Simpson sum underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = sextic_law(2.0 ** 26)
+    assert law.normalization_error == math.inf
 
 
 def test_grid_law_needs_odd_half_grid():
