@@ -38,9 +38,9 @@ Each per-colour term is a lookup in one of three tables over c = 0..N
   already hold one.
 
 The orbit rows and the full support are checked against one byte budget,
-``SUPPORT_BYTES``, before they are built.  Each maximum-likelihood Newton
-step is one profile reweighting that yields the expectation and its
-derivative together.
+``SUPPORT_BYTES``, before they are built.  Each step of the
+maximum-likelihood solver is one profile reweighting that yields the
+expectation and its derivative together.
 """
 
 from __future__ import annotations
@@ -118,22 +118,26 @@ def _weight_tables(p: int, N: int) -> tuple:
 
 
 def _log_weights(spec: ModelSpec, N: int, block: np.ndarray, tables: tuple) -> np.ndarray:
-    """log N! - sum_r log c_r! + N (beta sum_r (c_r/N)^p + h c_1/N) per row.
-
-    The sums run colour by colour, left to right: the same adds in the same
-    order as ``.sum(axis=1)`` for q <= 7 (same bits), without its per-row
-    loop over the short axis; numpy sums 8 or more terms pairwise, so from
-    q = 8 on the last bits may differ.
-    """
+    """log N! - sum_r log c_r! + N (beta sum_r (c_r/N)^p + h c_1/N) per row,
+    with both sums from ``_row_sums``."""
     lgam, xp, x = tables
-    first = block[:, 0]
-    log_fact, powers = lgam[first], xp[first]
-    for col in block.T[1:]:
-        log_fact += lgam[col]
-        powers += xp[col]
-    lw = math.lgamma(N + 1.0) - log_fact
-    lw += N * (spec.beta * powers + spec.h * x[first])
+    lw = math.lgamma(N + 1.0) - _row_sums(lgam, block)
+    lw += N * (spec.beta * _row_sums(xp, block) + spec.h * x[block[:, 0]])
     return lw
+
+
+def _row_sums(table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """table[block].sum(axis=1), added colour by colour, left to right.
+
+    The same adds in the same order as ``.sum(axis=1)`` for q <= 7 (same
+    bits), without its per-row loop over the short axis; numpy sums 8 or
+    more terms pairwise, so from q = 8 on the last bits may differ.
+    """
+    cols = block.T
+    out = table[cols[0]]
+    for col in cols[1:]:
+        out += table[col]
+    return out
 
 
 def _ranges(rows: np.ndarray):
@@ -382,7 +386,9 @@ class HProfile:
         self._L = _c1_log_profile(spec, N)
         self._j = np.arange(N + 1)
         self._x1 = self._j / N
-        self._ladder = {}  # at most 225 node values of inference._solve_increasing
+        # inference._solve_increasing's ladder nodes, at most 449: u at the 7
+        # doubling ends, (u, u') at 0 and at the 441 midpoints
+        self._ladder = {}
 
     def moments(self, h: float) -> tuple:
         """(u_{N,1}(h), du_{N,1}/dh = N Var(xbar_1)) from one reweighting."""
@@ -425,7 +431,9 @@ class BProfile:
         keep = _certified_rows(rest, pnorm)
         self._rest = rest[keep]
         self._pnorm = pnorm[keep]
-        self._ladder = {}  # at most 225 node values of inference._solve_increasing
+        # inference._solve_increasing's ladder nodes, at most 449: u at the 7
+        # doubling ends, (u, u') at 0 and at the 441 midpoints
+        self._ladder = {}
 
     def moments(self, beta: float) -> tuple:
         """(u_{N,p}(beta), du_{N,p}/dbeta = N Var(sum xbar_r^p)) from one reweighting."""
@@ -497,9 +505,9 @@ def _orbit_blocks(spec: ModelSpec, N: int, row_bytes: int) -> tuple:
     def blocks():
         for lo, hi in _ranges(rows):
             block = _orbit_block(N, spec.q, lo, hi)
-            base = (math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
+            base = (math.lgamma(N + 1.0) - _row_sums(lgam, block)
                     + N * spec.h * x[block[:, 0]] + _log_orbit_size(block[:, 1:]))
-            yield block, base, xp[block].sum(axis=1)
+            yield block, base, _row_sums(xp, block)
 
     return count, blocks()
 

@@ -6,16 +6,21 @@ u_{N,p}(beta, h) = observed p-norm statistic.  Both maps are strictly
 increasing in the estimated parameter (the log-partition function is strictly
 convex), and their derivatives are exact too: N Var(xbar_1) and
 N Var(sum_r xbar_r^p).  The root is bracketed on a fixed dyadic ladder:
-doubling from [0, 1], then halving the doubling bracket to cells 1/32 as wide.
-Each profile memoizes its ladder values, so repeated solves on one profile
-(a coverage study, the law of an estimate over every observation) pay only
-for the nodes no earlier solve reached, while every result depends on the
-profile and the observation alone.  Safeguarded Newton steps then start at
-the secant point of the final cell and fall back to bisection whenever a step
-would leave the bracket, so the solve converges unconditionally and
-quadratically near the root.  Expectations and derivatives inside the
-root-finding are exact finite-N values from the exact engine, never Monte
-Carlo.
+doubling from [0, 1], then halving the doubling bracket to cells 1/64 as wide.
+Each profile memoizes its ladder values, the halving midpoints with their
+slopes, so repeated solves on one profile (a coverage study, the law of an
+estimate over every observation) pay only for the nodes no earlier solve
+reached, while every result depends on the profile and the observation
+alone.  The solve then interpolates the inverse map x(u) with its slopes
+1/u' (inverse Hermite interpolation, Traub 1964): a cubic through the final
+cell's ends for the first iterate, a quintic through the three latest points
+after that.  Where no such interpolant exists (a slope missing or not
+positive, two equal u values) it takes the secant point and Newton steps
+instead, and it bisects whenever a step would leave the bracket or fails to
+halve, so the solve converges unconditionally; on a warm profile two
+evaluations usually meet the stop test.  Expectations and
+derivatives inside the root-finding are exact finite-N values from the exact
+engine, never Monte Carlo.
 
 Confidence sets: the plain plug-in intervals around the estimates are
 asymptotically valid at regular points.  They are made universally valid
@@ -49,8 +54,8 @@ BRACKET_CAP = 64.0
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_STOP_TOL = 1e-13
 MAX_ROOT_ITERATIONS = 200
-# Halvings of the doubling bracket on the solver's ladder: cells 1/32 as wide.
-_LADDER_DEPTH = 5
+# Halvings of the doubling bracket on the solver's ladder: cells 1/64 as wide.
+_LADDER_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -109,25 +114,68 @@ def _ladder_node(ladder: dict, x: float, fn):
     return out
 
 
+def _inverse_hermite(points, target: float):
+    """x(target) from the Hermite interpolant of the inverse map x(u).
+
+    ``points`` are (x, u, u') triples, latest first: the interpolant takes
+    the value x and the slope 1/u' at each u, so k points give degree
+    2k - 1 (cubic from two, quintic from three).  Newton's divided
+    differences run on the doubled nodes s = (u - target) / w, w the
+    largest |u - target|, so they stay in range however small u and its
+    steps are; the latest point's nodes come first, so its correction terms
+    carry the smallest factors.  Returns None when a slope is not positive
+    or two u values are equal: no such interpolant exists.
+    """
+    if any(not du > 0.0 for _, _, du in points):
+        return None
+    if len({u for _, u, _ in points}) < len(points):
+        return None
+    w = max(abs(u - target) for _, u, _ in points)
+    nodes = [(u - target) / w for _, u, _ in points for _ in (0, 1)]
+    coef = [x for x, _, _ in points for _ in (0, 1)]
+    n = len(coef)
+    for i in range(n - 1, 0, -1):
+        if i % 2:
+            coef[i] = w / points[i // 2][2]
+        else:
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - 1])
+    for order in range(2, n):
+        for i in range(n - 1, order - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - order])
+    x = coef[-1]
+    for i in range(n - 2, -1, -1):
+        x = coef[i] - x * nodes[i]
+    return x
+
+
 def _solve_increasing(value, moments, ladder: dict, observed: float,
                       cap: float = BRACKET_CAP):
-    """Root of the increasing u(x) = observed on [0, cap] by safeguarded Newton.
+    """Root of the increasing u(x) = observed on [0, cap], by safeguarded
+    inverse Hermite steps.
 
     The root is first placed on a fixed dyadic ladder whose node values are
-    kept in ``ladder``, the profile's memo: ``moments(0)`` for the boundary
-    test, the doubling ends 1, 2, 4, ... <= cap (``value(x)`` = u(x)), and
-    the midpoints that halve the doubling bracket _LADDER_DEPTH times.  A
-    solve walks the nodes its own observation selects and computes only those
-    not yet in the memo; node values are pure functions of the profile, so
-    the result depends on (profile, observed) alone, never on earlier solves.
+    kept in ``ladder``, the profile's memo: ``moments(0)`` = (u(0), u'(0))
+    for the boundary test, the doubling ends 1, 2, 4, ... <= cap
+    (``value(x)`` = u(x) alone), and the midpoints that halve the doubling
+    bracket _LADDER_DEPTH times (``moments``, so they keep their slopes).
+    A solve walks the nodes its own observation selects and computes only
+    those not yet in the memo; node values are pure functions of the
+    profile, so the result depends on (profile, observed) alone, never on
+    earlier solves.
 
-    ``moments(x)`` returns (u(x), u'(x)) for the Newton steps, which start at
-    the secant point of the final ladder cell.  Every evaluation shrinks the
-    bracket, and a step is replaced by bisection when it would leave the
-    bracket, when u' <= 0, or when it fails to halve the previous step
-    (rtsafe).  The solve stops once both |u - observed| and the Newton
-    correction |u - observed| / u' are at most ROOT_STOP_TOL, or the bracket
-    is narrower than that, so a flat u still gets an accurate root.
+    The first iterate is the cubic Hermite interpolant of the inverse x(u)
+    through the final cell's two ends (values x, slopes 1/u'), and each
+    later candidate the quintic through the three latest points; ``moments``
+    returns u'(x) with every iterate.  Where no such interpolant exists (a
+    cell that ends on a doubling end, whose slope is not kept; two equal u
+    values; a u' <= 0) the start is the secant point of the cell and the
+    candidate the Newton step; a cubic start outside the cell falls back to
+    the secant point too.  Every evaluation shrinks the bracket, and a
+    candidate is replaced by bisection when it would leave the bracket or is
+    not finite, or when it fails to halve the previous step (rtsafe).  The
+    solve stops once both |u - observed| and the Newton correction
+    |u - observed| / u' are at most ROOT_STOP_TOL, or the bracket is
+    narrower than that, so a flat u still gets an accurate root.
 
     The lower boundary 0 is the root, flagged as a boundary estimate, when
     u(0) reaches the observation within that same stop test, so the decision
@@ -139,52 +187,63 @@ def _solve_increasing(value, moments, ladder: dict, observed: float,
 
     Returns (root, iterations, bracket, converged, boundary, residual).
     ``iterations`` counts the ladder nodes walked past 0, cached or not, plus
-    the Newton steps: the evaluations a solve on a fresh profile makes after
-    the boundary test, so a boundary return reports 0.  ``bracket`` is the
-    doubling bracket, and the residual |u(root) - observed| comes from the
-    evaluation at the root.
+    the interpolation, Newton and bisection steps: the evaluations a solve
+    on a fresh profile makes after the boundary test, so a boundary return
+    reports 0.  ``bracket`` is the doubling bracket, and the residual
+    |u(root) - observed| comes from the evaluation at the root.
     """
     at_sup = observed >= 1.0
     tol = 0.0 if at_sup else ROOT_STOP_TOL
-    u_lo, du_lo = _ladder_node(ladder, 0.0, moments)
-    if u_lo - observed >= -tol * min(1.0, du_lo):
-        return 0.0, 0, (0.0, 0.0), True, True, abs(u_lo - observed)
-    lo, hi, iters = 0.0, 1.0, 1
-    while (u_hi := _ladder_node(ladder, hi, value)) < observed:
-        lo, u_lo = hi, u_hi
-        hi *= 2.0
-        if hi > cap:
-            return hi, iters, (lo, hi), False, at_sup, math.nan
+    # points are (x, u, u'), with u' None at the doubling ends
+    lo = (0.0, *_ladder_node(ladder, 0.0, moments))
+    if lo[1] - observed >= -tol * min(1.0, lo[2]):
+        return 0.0, 0, (0.0, 0.0), True, True, abs(lo[1] - observed)
+    x, iters = 1.0, 1
+    while (u := _ladder_node(ladder, x, value)) < observed:
+        lo = (x, u, None)
+        x *= 2.0
+        if x > cap:
+            return x, iters, (lo[0], x), False, at_sup, math.nan
         iters += 1
-    bracket = (lo, hi)
+    hi = (x, u, None)
+    bracket = (lo[0], hi[0])
     for _ in range(_LADDER_DEPTH):
-        mid = 0.5 * (lo + hi)
-        u = _ladder_node(ladder, mid, value)
+        mid = 0.5 * (lo[0] + hi[0])
+        node = (mid, *_ladder_node(ladder, mid, moments))
         iters += 1
-        if u < observed:
-            lo, u_lo = mid, u
+        if node[1] < observed:
+            lo = node
         else:
-            hi, u_hi = mid, u
-    x = lo + (observed - u_lo) * (hi - lo) / (u_hi - u_lo)
-    step = hi - lo
+            hi = node
+    # (x, u, u') of the latest points with a slope, latest first
+    recent = [pt for pt in (hi, lo) if pt[2] is not None]
+    x = _inverse_hermite(recent, observed) if len(recent) == 2 else None
+    if x is None or not lo[0] < x <= hi[0]:
+        x = lo[0] + (observed - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
+    step = hi[0] - lo[0]
     while iters < MAX_ROOT_ITERATIONS:
         u, du = moments(x)
         iters += 1
         if u < observed:
-            lo, u_lo = x, u
+            lo = (x, u, du)
         else:
-            hi, u_hi = x, u
+            hi = (x, u, du)
         if abs(u - observed) <= tol * min(1.0, du):
             return x, iters, bracket, True, at_sup, abs(u - observed)
-        if hi - lo <= ROOT_STOP_TOL:
+        if hi[0] - lo[0] <= ROOT_STOP_TOL:
             break
+        recent = [(x, u, du)] + recent[:2]
         prev = step
-        step = (u - observed) / du if du > 0 else math.inf
-        if not lo < x - step < hi or 2.0 * abs(step) > abs(prev):
-            step = x - 0.5 * (lo + hi)
+        target = _inverse_hermite(recent, observed) if len(recent) == 3 else None
+        if target is not None:
+            step = x - target
+        else:
+            step = (u - observed) / du if du > 0 else math.inf
+        if not lo[0] < x - step < hi[0] or 2.0 * abs(step) > abs(prev):
+            step = x - 0.5 * (lo[0] + hi[0])
         x -= step
-    root, u = min(((lo, u_lo), (hi, u_hi)), key=lambda pt: abs(pt[1] - observed))
-    return root, iters, bracket, hi - lo <= ROOT_STOP_TOL, at_sup, abs(u - observed)
+    root, u, _ = min(lo, hi, key=lambda pt: abs(pt[1] - observed))
+    return root, iters, bracket, hi[0] - lo[0] <= ROOT_STOP_TOL, at_sup, abs(u - observed)
 
 
 def mle_h(spec: ModelSpec, observed_x1: float, N: int,

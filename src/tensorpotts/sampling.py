@@ -189,7 +189,12 @@ def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> Rescal
         raise DomainError(f"samples must be rows of length q={spec.q}")
     expo = SCALE_EXPONENTS[point_class.tag]
     mats = np.stack(point_class.witness.vectors, axis=0)
-    d2 = ((samples[:, None, :] - mats[None, :, :]) ** 2).sum(axis=2)
+    # squared distances to each maximizer, (M, k), and below the u-coordinate,
+    # summed colour by colour: the adds of .sum(axis=-1) for q <= 7 (same bits),
+    # without its per-row loop over the short axis
+    d2 = (samples[:, :1] - mats[:, 0]) ** 2
+    for r in range(1, spec.q):
+        d2 += (samples[:, r:r + 1] - mats[:, r]) ** 2
     d = samples - mats[np.argmin(d2, axis=1)]
     sqrtn = math.sqrt(N)
     w = sqrtn * d
@@ -197,7 +202,10 @@ def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> Rescal
         return RescaledSamples(raw=samples, w=w, t_n=None, v_n=None, scale_exponent=expo)
     u = u_vector(spec.q)
     uu = float(u @ u)  # equals q(q-1)
-    coef = (d * u).sum(axis=1) / uu
+    coef = d[:, 0] * u[0]
+    for r in range(1, spec.q):
+        coef += d[:, r] * u[r]
+    coef /= uu
     t_n = N ** expo * coef
     v_n = sqrtn * (d - coef[:, None] * u)
     return RescaledSamples(raw=samples, w=w, t_n=t_n, v_n=v_n, scale_exponent=expo)

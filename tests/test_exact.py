@@ -165,6 +165,21 @@ class TestLogWeight:
         else:
             assert np.max(np.abs(mine - reference) / np.abs(reference)) <= 1e-12
 
+    @pytest.mark.parametrize("q", range(2, 8))
+    def test_orbit_block_sums_match_row_sums(self, q):
+        # the per-row .sum(axis=1) expressions the orbit blocks were built with
+        spec, N = ModelSpec(4, q, 0.616, 0.67), 14
+        lgam, xp, x = exact._weight_tables(spec.p, N)
+        count, blocks = exact._orbit_blocks(spec, N, 2 * 8)
+        rows = 0
+        for block, base, pnorm in blocks:
+            want = (math.lgamma(N + 1.0) - lgam[block].sum(axis=1)
+                    + N * spec.h * x[block[:, 0]] + exact._log_orbit_size(block[:, 1:]))
+            assert np.array_equal(base, want)
+            assert np.array_equal(pnorm, xp[block].sum(axis=1))
+            rows += len(block)
+        assert rows == count
+
 
 class TestPartitionMonotone:
     def test_increasing_in_each_parameter(self):

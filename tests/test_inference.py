@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -289,8 +289,94 @@ class TestLadder:
             assert mle_h(fig_regular_spec, float(x[0]), N, profile=h_profile).converged
             assert mle_beta(fig_regular_spec, float(np.sum(x ** 4)), N,
                             profile=b_profile).converged
-        assert h_profile.calls <= 4 * len(data)
-        assert b_profile.calls <= 5 * len(data)
+        assert h_profile.calls <= 3 * len(data)
+        assert b_profile.calls <= 3 * len(data)
+
+
+def _closed_form(family: str, a: float, k: float, m: float):
+    """(u, u') of an increasing closed-form u on [0, inf) with values below 1."""
+    if family == "flat":  # slope 1e-12 .. 3e-8: u' is far below the stop test
+        return lambda x: (a + k * 1e-9 * x, k * 1e-9)
+    if family == "saturating":  # rounds to 1 at finite x, where u' decays to 0
+        return lambda x: (1.0 - (1.0 - a) * math.exp(-k * x), k * (1.0 - a) * math.exp(-k * x))
+    if family == "logistic":  # flat, then steep, then saturating; no overflow either side
+
+        def logistic(x):
+            t = k * (x - m)
+            e = math.exp(-abs(t))
+            u = 1.0 / (1.0 + e) if t >= 0 else e / (1.0 + e)
+            return u, k * u * (1.0 - u)
+
+        return logistic
+    if family == "cubic":  # u'(0) = 0: no slope at the ladder's first node
+        return lambda x: (a + (1.0 - a) * x ** 3 / (1.0 + x ** 3),
+                          (1.0 - a) * 3.0 * x * x / (1.0 + x ** 3) ** 2)
+    return lambda x: (x / (1.0 + x), (1.0 + x) ** -2)  # "cap": u(64) = 64/65
+
+
+class TestInverseHermiteSteps:
+    @given(family=st.sampled_from(["flat", "saturating", "logistic", "cubic", "cap"]),
+           a=st.floats(0.0, 0.9), k=st.floats(0.001, 30.0), m=st.floats(0.0, 80.0),
+           root=st.one_of(st.floats(0.0, 100.0), st.none()))
+    # iterates a few ulps from the root with equal u: no interpolant exists
+    @example(family="cubic", a=0.3472548001880606, k=1.0, m=0.0, root=61.48841853177408)
+    @example(family="cap", a=0.0, k=1.0, m=0.0, root=63.56090202280688)
+    @example(family="logistic", a=0.0, k=0.0029138326263203856, m=2.1644760771728855,
+             root=39.58442449493745)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_match_reference_bisection(self, family, a, k, m, root):
+        moments = _closed_form(family, a, k, m)
+
+        def value(x):
+            return moments(x)[0]
+
+        observed = 1.0 if root is None else value(root)
+        got = inference._solve_increasing(value, moments, {}, observed)
+        est, _, bracket, converged, boundary, residual = got
+        if observed >= 1.0:
+            assert boundary
+        elif value(0.0) >= observed - inference.ROOT_STOP_TOL * min(1.0, moments(0.0)[1]):
+            assert (est, converged, boundary) == (0.0, True, True)
+        elif value(inference.BRACKET_CAP) < observed:
+            assert (est, bracket, converged) == (128.0, (64.0, 128.0), False)
+        else:
+            assert converged and not boundary
+            assert residual == abs(value(est) - observed)
+            ref = _reference_root(value, observed)
+            assert abs(est - ref) <= 1e-13 / min(1.0, moments(est)[1])
+
+    def test_start_is_the_cubic_through_the_cell_ends(self):
+        # u = x^3 + x on the cell [0.53125, 0.546875]: the secant point misses
+        # the root by 5e-5, the inverse cubic start by 3e-9
+        moments = lambda x: (x ** 3 + x, 3.0 * x * x + 1.0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return moments(x)
+
+        got = inference._solve_increasing(lambda x: moments(x)[0], counted, {}, 0.7)
+        assert got[3] and not got[4]
+        ref = _reference_root(lambda x: moments(x)[0], 0.7)
+        assert abs(got[0] - ref) <= 1e-13
+        ladder_nodes = 1 + inference._LADDER_DEPTH  # 0 and the midpoints of [0, 1]
+        assert abs(calls[ladder_nodes] - ref) <= 1e-8
+        assert len(calls) == ladder_nodes + 2
+
+    def test_interpolant_stays_in_range_at_tiny_u(self):
+        # u = 1e-200 e^x: divided differences taken in u itself would reach
+        # 1e200^5 and overflow; in u scaled to the nodes' spread they do not
+        points = [(x, 1e-200 * math.exp(x), 1e-200 * math.exp(x)) for x in (1.01, 1.0, 1.02)]
+        got = inference._inverse_hermite(points, 1e-200 * math.exp(1.005))
+        assert abs(got - 1.005) <= 1e-12
+        assert inference._inverse_hermite(points[:2], 1e-200 * math.exp(1.005)) == \
+            pytest.approx(1.005, abs=1e-9)
+
+    def test_saturated_slopes_fall_back(self):
+        # u' = 0 at nodes where u has rounded to 1: no inverse slope, no raise
+        moments = lambda x: (min(1.0, 0.5 + x / 10.0), 0.1 if x < 5.0 else 0.0)
+        got = inference._solve_increasing(lambda x: moments(x)[0], moments, {}, 1.0)
+        assert got[3] and got[4] and moments(got[0])[0] == 1.0
 
 
 class TestPlainIntervals:
