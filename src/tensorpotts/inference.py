@@ -17,8 +17,8 @@ cell's ends for the first iterate, a quintic through the three latest points
 after that.  Where no such interpolant exists (a slope missing or not
 positive, two equal u values) it takes the secant point and Newton steps
 instead, and it bisects whenever a step would leave the bracket or fails to
-halve, so the solve converges unconditionally; on a warm profile two
-evaluations usually meet the stop test.  Expectations and
+halve the step before last, so the solve converges unconditionally; on a
+warm profile two evaluations usually meet the stop test.  Expectations and
 derivatives inside the root-finding are exact finite-N values from the exact
 engine, never Monte Carlo.
 
@@ -148,14 +148,13 @@ def _inverse_hermite(points, target: float):
     return x
 
 
-def _solve_increasing(value, moments, ladder: dict, observed: float,
-                      cap: float = BRACKET_CAP):
-    """Root of the increasing u(x) = observed on [0, cap], by safeguarded
-    inverse Hermite steps.
+def _solve_increasing(value, moments, ladder: dict, observed: float):
+    """Root of the increasing u(x) = observed on [0, BRACKET_CAP], by
+    safeguarded inverse Hermite steps.
 
     The root is first placed on a fixed dyadic ladder whose node values are
     kept in ``ladder``, the profile's memo: ``moments(0)`` = (u(0), u'(0))
-    for the boundary test, the doubling ends 1, 2, 4, ... <= cap
+    for the boundary test, the doubling ends 1, 2, 4, ... <= BRACKET_CAP
     (``value(x)`` = u(x) alone), and the midpoints that halve the doubling
     bracket _LADDER_DEPTH times (``moments``, so they keep their slopes).
     A solve walks the nodes its own observation selects and computes only
@@ -172,8 +171,10 @@ def _solve_increasing(value, moments, ladder: dict, observed: float,
     candidate the Newton step; a cubic start outside the cell falls back to
     the secant point too.  Every evaluation shrinks the bracket, and a
     candidate is replaced by bisection when it would leave the bracket or is
-    not finite, or when it fails to halve the previous step (rtsafe).  The
-    solve stops once both |u - observed| and the Newton correction
+    not finite, or when it fails to halve the step before last (rtsafe, as
+    in Numerical Recipes, so two rounding-level steps in a row on a flat u
+    do not send it back to the far end of the bracket).  The solve stops
+    once both |u - observed| and the Newton correction
     |u - observed| / u' are at most ROOT_STOP_TOL, or the bracket is
     narrower than that, so a flat u still gets an accurate root.
 
@@ -202,7 +203,7 @@ def _solve_increasing(value, moments, ladder: dict, observed: float,
     while (u := _ladder_node(ladder, x, value)) < observed:
         lo = (x, u, None)
         x *= 2.0
-        if x > cap:
+        if x > BRACKET_CAP:
             return x, iters, (lo[0], x), False, at_sup, math.nan
         iters += 1
     hi = (x, u, None)
@@ -220,7 +221,7 @@ def _solve_increasing(value, moments, ladder: dict, observed: float,
     x = _inverse_hermite(recent, observed) if len(recent) == 2 else None
     if x is None or not lo[0] < x <= hi[0]:
         x = lo[0] + (observed - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
-    step = hi[0] - lo[0]
+    step = prev = hi[0] - lo[0]
     while iters < MAX_ROOT_ITERATIONS:
         u, du = moments(x)
         iters += 1
@@ -233,13 +234,13 @@ def _solve_increasing(value, moments, ladder: dict, observed: float,
         if hi[0] - lo[0] <= ROOT_STOP_TOL:
             break
         recent = [(x, u, du)] + recent[:2]
-        prev = step
+        older, prev = prev, step  # the step before last, and the last
         target = _inverse_hermite(recent, observed) if len(recent) == 3 else None
         if target is not None:
             step = x - target
         else:
             step = (u - observed) / du if du > 0 else math.inf
-        if not lo[0] < x - step < hi[0] or 2.0 * abs(step) > abs(prev):
+        if not lo[0] < x - step < hi[0] or 2.0 * abs(step) > abs(older):
             step = x - 0.5 * (lo[0] + hi[0])
         x -= step
     root, u, _ = min(lo, hi, key=lambda pt: abs(pt[1] - observed))
@@ -359,20 +360,15 @@ def ci_beta(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
                          level=1.0 - alpha, method="plain")
 
 
-def critical_slice_h(p: int, q: int, beta: float,
-                     beta_c: float | None = None,
-                     special: SpecialPoint | None = None) -> list:
+def critical_slice_h(p: int, q: int, beta: float) -> list:
     """S(beta): the h values putting (beta, h) in the closure of the critical set.
 
     At most one point: h = 0 for beta >= beta_c, the curve height phi^{-1}(beta)
     for beta_tilde <= beta < beta_c, nothing below beta_tilde.  The curve
     height comes from Newton continuation in beta from (beta_c, 0), which
-    returns that start for beta >= beta_c, so ``beta_c`` is optional.
+    returns that start, h = 0, for beta >= beta_c.
     """
-    if beta_c is not None and beta >= beta_c - 1e-12:
-        return [0.0]
-    if special is None:
-        special = compute_special_point(p, q)
+    special = compute_special_point(p, q)
     if special.h_tilde <= 0:
         # continuous transition: the special point is (beta_c, 0)
         return [0.0] if beta >= special.beta_tilde - 1e-12 else []
@@ -387,8 +383,9 @@ def critical_slice_beta(p: int, q: int, h: float,
                         beta_c: float | None = None,
                         special: SpecialPoint | None = None) -> list:
     """T(h) for h != 0: the beta with (beta, h) in the critical-set closure,
-    by Newton continuation in h from (beta_c, 0).  ``beta_c`` is unused: it
-    keeps the signature of ``critical_slice_h``."""
+    by Newton continuation in h from (beta_c, 0).  ``special`` saves the
+    special-point solve when the caller has it; ``beta_c`` is not read, and
+    stays only because ``bench/critical.py`` passes it."""
     if h == 0.0:
         raise DomainError("T(h) is defined for h != 0")
     if special is None:
@@ -410,8 +407,6 @@ def augment_ci(cs: ConfidenceSet, slice_points) -> ConfidenceSet:
 
 def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
                 param: str = "h",
-                beta_c: float | None = None,
-                special: SpecialPoint | None = None,
                 estimate: EstimationResult | None = None) -> ConfidenceSet:
     """Two-step confidence set: test the critical-closure point first.
 
@@ -428,7 +423,7 @@ def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
     if param == "h":
         if est is None:
             est = mle_h(spec, float(data_x[0]), N)
-        slice_pts = critical_slice_h(spec.p, spec.q, spec.beta, beta_c, special)
+        slice_pts = critical_slice_h(spec.p, spec.q, spec.beta)
 
         def plain():
             return ci_h(spec, data_x, N, alpha, estimate=est)
@@ -436,7 +431,7 @@ def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
     elif param == "beta":
         if est is None:
             est = mle_beta(spec, float(np.sum(data_x ** spec.p)), N)
-        slice_pts = critical_slice_beta(spec.p, spec.q, spec.h, beta_c, special)
+        slice_pts = critical_slice_beta(spec.p, spec.q, spec.h)
 
         def plain():
             return ci_beta(spec, data_x, N, alpha, estimate=est)

@@ -4,14 +4,16 @@ Scalar laws come in a few families:
 
 * tilted quartic / sextic densities proportional to
   ``exp(x^4/24 * q^4 f''''(s) + c1 x)`` and ``exp(-32/15 x^6 - c1 x)``,
-  realized on a truncated grid with Simpson quadrature;
+  realized by Simpson quadrature under one truncation rule: the window
+  around the tilted density's mode where its exponent stays within 1e-14 of
+  the mode value (``_tilt_window``, symmetric at zero tilt);
 * Gaussians and signed half-Gaussians;
 * mixtures with point masses, including masses at +/- infinity (kept as
   explicit mass fields, never numeric sentinels);
 * composed estimator laws whose cdf at t evaluates the mean of a t-tilted
   member of the family and feeds it through the zero-tilt cdf (the means of
-  all tilts come from ``_tilted_means``: a short Simpson rule on a window
-  around each tilted density's mode, all tilts at once);
+  all tilts come from ``_tilted_means``: a short Simpson rule on each tilt's
+  window, all tilts at once);
 * chi-square laws, exact through the incomplete gamma function (the one
   path that imports scipy, when it is used).
 
@@ -90,22 +92,24 @@ def _bisect_quantile(cdf, u: float, lo: float, hi: float) -> float:
 
 
 class GridLaw(ScalarLaw):
-    """Density proportional to exp(log_density) on [-R, R], Simpson-normalized.
+    """Density proportional to exp(log_density) on [lo, hi], Simpson-normalized.
 
-    The truncation radius R is chosen by the caller so the integrand tail is
-    below 1e-14 of the mode; ``normalization_error`` records the relative
-    Richardson gap between the full grid and its half-resolution subset
-    (n_points = 4k + 1 keeps both node counts odd), inf when a mode narrower
-    than the coarse spacing leaves the subset summing to 0.  The cdf applies
-    (5 f0 + 8 f1 - f2) h/12 forward on even intervals and backward on odd
-    ones, so even nodes carry the composite-Simpson partial sums.
+    The tilted quartic and sextic laws put [lo, hi] on the mode-centred
+    window of ``_tilt_window``, so the integrand tail is below 1e-14 of the
+    mode; ``normalization_error`` records the relative Richardson gap between
+    the full grid and its half-resolution subset (n_points = 4k + 1 keeps
+    both node counts odd), inf when a mode narrower than the coarse spacing
+    leaves the subset summing to 0.  The cdf applies (5 f0 + 8 f1 - f2) h/12
+    forward on even intervals and backward on odd ones, so even nodes carry
+    the composite-Simpson partial sums.
     """
 
-    def __init__(self, kind: str, log_density, radius: float, n_points: int = GRID_POINTS):
-        if radius <= 0 or n_points < 5 or n_points % 4 != 1:
-            raise DomainError("need radius > 0 and n_points = 4k + 1 >= 5")
+    def __init__(self, kind: str, log_density, lo: float, hi: float,
+                 n_points: int = GRID_POINTS):
+        if not lo < hi or n_points < 5 or n_points % 4 != 1:
+            raise DomainError("need lo < hi and n_points = 4k + 1 >= 5")
         self.kind = kind
-        x = np.linspace(-radius, radius, n_points)
+        x = np.linspace(lo, hi, n_points)
         ld = np.asarray(log_density(x), dtype=float)
         top = ld.max()
         raw = np.exp(ld - top)
@@ -541,15 +545,6 @@ class MixtureGaussianSimplex:
 # constructors
 
 
-def _tilt_radius(coef_high: float, degree: int, coef1):
-    """Truncation radius where the exponent falls TAIL_LOG_EPS below the mode
-    (elementwise when ``coef1`` is an array)."""
-    r = (-TAIL_LOG_EPS / -coef_high) ** (1.0 / degree)
-    for _ in range(12):
-        r = ((-TAIL_LOG_EPS + abs(coef1) * r) / -coef_high) ** (1.0 / degree)
-    return r
-
-
 _TILT_NODES = 257  # Simpson nodes on each tilt's window around its mode
 _TILT_BLOCK = 64  # tilts per block: each (64, _TILT_NODES) temporary is ~130 kB
 
@@ -565,71 +560,94 @@ def _mode_gap_coefs(mode: np.ndarray, degree: int) -> list:
     return coefs
 
 
-def _tail_widths(coef_high: float, degree: int, mode: np.ndarray) -> np.ndarray:
-    """delta > 0 where coef_high ((mode + delta)^d - mode^d - d mode^(d-1) delta)
-    reaches TAIL_LOG_EPS, elementwise: the right half-width of the window of a
-    density with this mode (the left one is the right one at -mode).
+def _gap_log_density(gap: list, s):
+    """The exponent coef_high x^d + c x less its value at its mode, at
+    x = mode + s: s^2 times the Horner sum of ``gap``, the ``_mode_gap_coefs``
+    of the mode times coef_high.  It does not cancel however far the mode
+    lies from 0."""
+    ld = _polyval(s, gap)
+    ld *= s
+    ld *= s
+    return ld
 
-    The gap is concave in delta, so Newton from a point beyond the root stays
-    beyond it.  The start delta0 = (2^(d-2) |eps| / |coef_high|)^(1/d) lies
-    beyond the root for every mode: (x + s)^n - x^n >= s^n / 2^(n-1) for odd
-    n, so the gap is at least delta^d / 2^(d-2).  Every iterate is a valid
-    half-width; the loop stops once no step moves delta by more than 1e-3 of
-    itself.
+
+def _tilt_window(coef_high: float, degree: int, c: np.ndarray) -> tuple:
+    """(mode, left, right) of exp(coef_high x^d + c x) for every c >= 0 in
+    the 1-D ``c``: the mode x* = (c / (d |coef_high|))^(1/(d-1)) and the
+    half-widths of the window [x* - left, x* + right], whose ends are where
+    the exponent falls TAIL_LOG_EPS below its mode value.
+
+    The right half-width is the delta > 0 where coef_high ((x* + delta)^d -
+    x*^d - d x*^(d-1) delta) reaches TAIL_LOG_EPS, the left one the same at
+    -x*.  The gap is concave in delta, so Newton from a point beyond the root
+    stays beyond it.  The start delta0 = (2^(d-2) |eps| / |coef_high|)^(1/d)
+    lies beyond the root for every mode: (x + s)^n - x^n >= s^n / 2^(n-1) for
+    odd n, so the gap is at least delta^d / 2^(d-2).  Every iterate is a
+    valid half-width; the loop stops once no step moves delta by more than
+    1e-3 of itself.  At c = 0 both half-widths are the closed form
+    (TAIL_LOG_EPS / coef_high)^(1/d), so a zero-tilt window is symmetric.
     """
     scale = abs(coef_high)
-    coefs = _mode_gap_coefs(mode, degree)
-    slopes = [(degree - j) * c for j, c in enumerate(coefs)]
-    delta = np.full(len(mode), (2.0 ** (degree - 2) * -TAIL_LOG_EPS / scale) ** (1.0 / degree))
+    mode = (c / (degree * scale)) ** (1.0 / (degree - 1))
+    both = np.concatenate([mode, -mode])
+    coefs = _mode_gap_coefs(both, degree)
+    slopes = [(degree - j) * k for j, k in enumerate(coefs)]
+    delta = np.full(len(both), (2.0 ** (degree - 2) * -TAIL_LOG_EPS / scale) ** (1.0 / degree))
     for _ in range(100):
         excess = scale * delta * delta * _polyval(delta, coefs) + TAIL_LOG_EPS
         step = excess / (scale * delta * _polyval(delta, slopes))
         delta -= step
         if np.max(step / delta) <= 1e-3:
             break
-    return delta
+    delta[both == 0.0] = (TAIL_LOG_EPS / coef_high) ** (1.0 / degree)
+    return mode, delta[len(c):], delta[:len(c)]
 
 
 def _tilted_means(coef_high: float, degree: int, coef1: np.ndarray) -> np.ndarray:
     """Means of exp(coef_high x^degree + c x) for every c in the 1-D ``coef1``.
 
-    The mean is odd in c, so each distinct |c| is integrated once.  Its mode
-    is x* = (|c| / (d |coef_high|))^(1/(d-1)), and the exponent, less its
-    value there, is coef_high s^2 (C(d,2) x*^(d-2) + ... + s^(d-2)) at x* + s.
-    The window [x* - delta-, x* + delta+] ends where that falls TAIL_LOG_EPS
-    (``_tail_widths``); _TILT_NODES Simpson nodes on it, whose step cancels
-    in the ratio, give the mean L + W (e.(w u)) / (e.w) with L = x* - delta-,
-    W = delta- + delta+ and one shared u on [0, 1].  This is not the rule of
-    ``GridLaw(...).mean()`` (GRID_POINTS nodes on [-R_c, R_c]), but agrees
-    with it within 1e-12.
+    The mean is odd in c, so each distinct |c| is integrated once, on its
+    ``_tilt_window`` [x* - delta-, x* + delta+], the window its grid law is
+    built on.  _TILT_NODES Simpson nodes there, whose step cancels in the
+    ratio, give the mean L + W (e.(w u)) / (e.w) with L = x* - delta-,
+    W = delta- + delta+ and one shared u on [0, 1], the exponent taken as
+    ``_gap_log_density``.  This is not the rule of ``GridLaw(...).mean()``
+    (GRID_POINTS nodes on the same window), but agrees with it within 1e-12.
     """
     coef1 = np.asarray(coef1, dtype=float)
     size = np.abs(coef1)
     order = np.argsort(size)
     sizes = size[order]
     first = np.append(True, sizes[1:] != sizes[:-1])
-    c = sizes[first]
-    mode = (c / (degree * -coef_high)) ** (1.0 / (degree - 1))
-    widths = _tail_widths(coef_high, degree, np.concatenate([mode, -mode]))
-    left, width = widths[len(c):], widths[:len(c)] + widths[len(c):]
+    mode, left, right = _tilt_window(coef_high, degree, sizes[first])
+    width = right + left
     u = np.linspace(0.0, 1.0, _TILT_NODES)
     weights = _simpson_weights(_TILT_NODES)
     weighted_u = weights * u
     gap = [coef_high * k for k in _mode_gap_coefs(mode, degree)]
-    means = np.empty(len(c))
-    for lo in range(0, len(c), _TILT_BLOCK):
+    means = np.empty(len(mode))
+    for lo in range(0, len(mode), _TILT_BLOCK):
         block = slice(lo, lo + _TILT_BLOCK)
         s = np.multiply.outer(width[block], u)
         s -= left[block, None]
-        ld = _polyval(s, [k[block, None] for k in gap])
-        ld *= s
-        ld *= s
+        ld = _gap_log_density([k[block, None] for k in gap], s)
         np.exp(ld, out=ld)
         means[block] = ld @ weighted_u / (ld @ weights)
     means = mode - left + width * means
     out = np.empty(len(coef1))
     out[order] = means[np.cumsum(first) - 1]
     return np.sign(coef1) * out
+
+
+def _tilt_law(kind: str, coef_high: float, degree: int, coef1: float) -> GridLaw:
+    """GridLaw of exp(coef_high x^degree + coef1 x) on its ``_tilt_window``
+    (mirrored for coef1 < 0), with the exponent as ``_gap_log_density``."""
+    window = _tilt_window(coef_high, degree, np.array([abs(coef1)]))
+    mode, left, right = (float(v[0]) for v in window)
+    if coef1 < 0:
+        mode, left, right = -mode, right, left
+    gap = [coef_high * k for k in _mode_gap_coefs(mode, degree)]
+    return GridLaw(kind, lambda x: _gap_log_density(gap, x - mode), mode - left, mode + right)
 
 
 def _maximizer_info(spec: ModelSpec, point_class: PointClass):
@@ -660,16 +678,12 @@ def quartic_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 0.0,
     if point_class is None:
         point_class = classify_point(spec)
     coef4, slope = _quartic_coefs(spec, point_class)
-    coef1 = beta_bar * spec.p * slope + h_bar * (1 - spec.q)
-    radius = _tilt_radius(coef4, 4, coef1)
-    return GridLaw("QuarticTilt", lambda x: coef4 * x ** 4 + coef1 * x, radius)
+    return _tilt_law("QuarticTilt", coef4, 4, beta_bar * spec.p * slope + h_bar * (1 - spec.q))
 
 
 def sextic_law(h_bar: float = 0.0) -> GridLaw:
     """Limit of T_N at the type-II special point: exp(-32/15 x^6 - h_bar x)."""
-    coef1 = -h_bar
-    radius = _tilt_radius(SEXTIC_COEF, 6, coef1)
-    return GridLaw("SexticTilt", lambda x: SEXTIC_COEF * x ** 6 + coef1 * x, radius)
+    return _tilt_law("SexticTilt", SEXTIC_COEF, 6, -h_bar)
 
 
 def gaussian_limit_regular(spec: ModelSpec, beta_bar: float = 0.0,
@@ -966,16 +980,16 @@ def ks_distance(samples, law: ScalarLaw) -> float:
     return float(np.max(np.maximum(upper, lower)))
 
 
-def density_table(law: ScalarLaw, n: int = 512):
+def density_table(law: ScalarLaw):
     """(x, pdf, cdf) arrays for plotting overlays."""
     if isinstance(law, GridLaw):
         x = law.x
     elif isinstance(law, NormalLaw):
-        x = np.linspace(law.mu - 6 * law.sigma, law.mu + 6 * law.sigma, n)
+        x = np.linspace(law.mu - 6 * law.sigma, law.mu + 6 * law.sigma, 512)
     elif isinstance(law, (MixtureLaw, HalfNormalLaw, SquaredGridLaw)):
         lo, hi = law.quantile(1e-6), law.quantile(1.0 - 1e-6)
         pad = 0.05 * (hi - lo + 1e-12)
-        x = np.linspace(lo - pad, hi + pad, n)
+        x = np.linspace(lo - pad, hi + pad, 512)
     else:
         raise DomainError(f"no density table for kind {law.kind}")
     return x, law.pdf(x), law.cdf(x)

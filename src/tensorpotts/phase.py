@@ -203,7 +203,7 @@ def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:
     return float(root)
 
 
-def _stationary(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
+def _stationary(spec: ModelSpec) -> list:
     """(s, is_local_min) for every root of f' in [0, 1 - delta], ascending.
 
     A uniform sign-change scan of f' with one refinement pass near sign
@@ -220,7 +220,7 @@ def _stationary(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
     def dg(s):
         return f_deriv(spec, s, 2)
 
-    s = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, cells + 1)
+    s = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, SCAN_CELLS + 1)
     v = g(s)
     sign = np.sign(v)
     loud = np.abs(v) > SIGN_NOISE_FLOOR
@@ -253,10 +253,10 @@ def _point(spec: ModelSpec, s: float) -> StationaryPoint:
     return StationaryPoint(s=s, f_value=f_deriv(spec, s, 0), f2=f_deriv(spec, s, 2))
 
 
-def find_stationary_points(spec: ModelSpec, cells: int = SCAN_CELLS) -> list:
+def find_stationary_points(spec: ModelSpec) -> list:
     """All roots of f' in [0, 1 - delta] (see ``_stationary``), as polished
     StationaryPoints; s = 0 is among them whenever h = 0."""
-    return [_point(spec, s) for s, _ in _stationary(spec, cells)]
+    return [_point(spec, s) for s, _ in _stationary(spec)]
 
 
 def _maximizer_candidates(spec: ModelSpec) -> list:

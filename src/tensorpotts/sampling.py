@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exact
 from .errors import DomainError
@@ -133,47 +132,28 @@ def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.n
     """Invert ``u`` in the law of c = 0..R with log-mass base(c) + tail(R - c),
     R = ``left`` per draw; return c and ``u`` rescaled to [0, 1] in c's cell.
 
-    One cumulative row per R value present, built in blocks of consecutive
-    values of at most about ``exact.CONV_CELLS`` cells.
+    The draws are grouped by R with one stable argsort.  Each R present gets
+    one cumulative row, base[:R+1] + tail[R::-1] shifted by its maximum,
+    exponentiated, accumulated and normalised to end at 1, and its draws get
+    one ``searchsorted`` (side left) on it.  A zero-width cell is only chosen
+    at u = 0 in column 0; it rescales to 0.
     """
-    N = len(tail) - 1
-    padded = np.concatenate([tail[::-1], np.full(N, -np.inf)])
-    windows = sliding_window_view(padded, N + 1)  # windows[N - R][c] = tail[R - c], -inf for c > R
-    values = np.flatnonzero(np.bincount(left, minlength=N + 1))
+    order = np.argsort(left, kind="stable")
     c, rescaled = np.empty_like(left), np.empty_like(u)
-    lo = 0
-    while lo < len(values):
-        cells = np.arange(1, len(values) - lo + 1) * (values[lo:] + 1)
-        hi = lo + max(1, int(np.searchsorted(cells, exact.CONV_CELLS, side="right")))
-        width = values[hi - 1] + 1
-        cum = base[:width] + windows[:, :width][N - values[lo:hi]]
-        cum -= cum.max(axis=1, keepdims=True)
+    for draws in np.split(order, np.flatnonzero(np.diff(left[order])) + 1):
+        R = int(left[draws[0]])
+        cum = base[:R + 1] + tail[R::-1]
+        cum -= cum.max()
         np.exp(cum, out=cum)
-        np.cumsum(cum, axis=1, out=cum)
-        cum /= cum[:, -1:]  # row R is exactly 1 from column R on
-        pick = (left >= values[lo]) & (left < width)
-        row = np.searchsorted(values[lo:hi], left[pick])
-        c[pick], rescaled[pick] = _rescaled_inverse(cum, row, u[pick])
-        lo = hi
+        np.cumsum(cum, out=cum)
+        cum /= cum[-1]
+        ud = u[draws]
+        j = np.searchsorted(cum, ud, side="left")
+        below = np.where(j > 0, cum[j - 1], 0.0)
+        width = cum[j] - below
+        c[draws] = j
+        rescaled[draws] = np.divide(ud - below, width, out=np.zeros_like(ud), where=width > 0)
     return c, rescaled
-
-
-def _rescaled_inverse(cum: np.ndarray, row: np.ndarray, u: np.ndarray) -> tuple:
-    """Per draw, the first column j with cum[row, j] >= u (``searchsorted``
-    side left, by bisection over columns), and u rescaled within that cell.
-
-    A zero-width cell is only chosen at u = 0 in column 0; it rescales to 0.
-    """
-    lo = np.zeros(len(u), dtype=np.int64)
-    hi = np.full(len(u), cum.shape[1] - 1)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        right = cum[row, mid] < u
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    below = np.where(lo > 0, cum[row, lo - 1], 0.0)
-    width = cum[row, lo] - below
-    return lo, np.divide(u - below, width, out=np.zeros_like(u), where=width > 0)
 
 
 def rescale(samples, spec: ModelSpec, point_class: PointClass, N: int) -> RescaledSamples:

@@ -372,6 +372,31 @@ class TestInverseHermiteSteps:
         assert inference._inverse_hermite(points[:2], 1e-200 * math.exp(1.005)) == \
             pytest.approx(1.005, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0.0005, 0.0029, 0.01])
+    @pytest.mark.parametrize("x0", [-50.0, 0.0, 20.0])
+    def test_flat_logistic_solves_stay_short(self, k, x0):
+        # the halving test compares a step with the step before last (rtsafe):
+        # against the last step alone, two rounding-level steps in a row on a
+        # flat u sent the solve back to bisection, 59 evaluations for the
+        # observation 0.538443796849915 at k = 0.0029, x0 = 0
+        moments = _closed_form("logistic", 0.0, k, x0)
+        lo, hi = moments(0.0)[0], moments(inference.BRACKET_CAP)[0]
+        observed = (lo + (hi - lo) * np.linspace(0.01, 0.99, 50)).tolist()
+        if (k, x0) == (0.0029, 0.0):
+            observed.append(0.538443796849915)
+        for obs in observed:
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return moments(x)
+
+            got = inference._solve_increasing(lambda x: counted(x)[0], counted, {}, obs)
+            assert got[3] and not got[4]
+            assert len(calls) <= 25
+            ref = _reference_root(lambda x: moments(x)[0], obs)
+            assert abs(got[0] - ref) <= 1e-13 / min(1.0, moments(got[0])[1])
+
     def test_saturated_slopes_fall_back(self):
         # u' = 0 at nodes where u has rounded to 1: no inverse slope, no raise
         moments = lambda x: (min(1.0, 0.5 + x / 10.0), 0.1 if x < 5.0 else 0.0)

@@ -43,7 +43,9 @@ from tensorpotts.laws import (
     MixtureLaw,
     NormalLaw,
     SquaredGridLaw,
-    _tilt_radius,
+    SEXTIC_COEF,
+    TAIL_LOG_EPS,
+    _quartic_coefs,
     _tilted_means,
     density_table,
 )
@@ -88,7 +90,7 @@ class TestGridLaws:
         spec, pc = special43
         a = quartic_law(spec, point_class=pc)
         coef4 = spec.q ** 4 * f_deriv(spec, pc.witness.s_values[0], 4) / 24.0
-        b = GridLaw("QuarticTilt", lambda x: coef4 * x ** 4, a.x[-1], n_points=8193)
+        b = GridLaw("QuarticTilt", lambda x: coef4 * x ** 4, -a.x[-1], a.x[-1], n_points=8193)
         assert a.var() == pytest.approx(b.var(), abs=1e-8)
         assert a.var() > 0
 
@@ -107,7 +109,7 @@ class TestGridLaws:
         assert law.mean() == pytest.approx(0.0, abs=1e-12)
         for x in (0.2, 0.6, 1.1):
             assert law.cdf(-x) + law.cdf(x) == pytest.approx(1.0, abs=1e-8)
-        double = GridLaw("SexticTilt", lambda x: -32 / 15 * x ** 6, law.x[-1], 8193)
+        double = GridLaw("SexticTilt", lambda x: -32 / 15 * x ** 6, -law.x[-1], law.x[-1], 8193)
         assert law.second_moment() == pytest.approx(double.second_moment(), abs=1e-8)
 
     def test_sample_cdf_uniform(self, special43):
@@ -357,7 +359,7 @@ class TestEstimatorLimits:
         assert 0 < law.gamma2 < 1
         base_fine = sextic_law(0.0)
         coarse = GridLaw("SexticTilt", lambda x: -32 / 15 * x ** 6,
-                         base_fine.x[-1], n_points=2049)
+                         -base_fine.x[-1], base_fine.x[-1], n_points=2049)
         b = math.sqrt(coarse.second_moment())
         gamma2_coarse = float(coarse.cdf(b) - coarse.cdf(-b))
         assert law.gamma2 == pytest.approx(gamma2_coarse, abs=1e-3)
@@ -378,24 +380,31 @@ class TestEstimatorLimits:
         assert vals[0] < 0.02 and vals[-1] > 0.98
 
 
+def _symmetric_grid_law(coef_high, degree, c):
+    """Reference law: GRID_POINTS nodes on [-R, R], R where the plain exponent
+    falls |TAIL_LOG_EPS| below its mode value (12 fixed-point steps); an
+    independent window, accurate for |c| <= 1e3."""
+    r = (TAIL_LOG_EPS / coef_high) ** (1.0 / degree)
+    for _ in range(12):
+        r = ((-TAIL_LOG_EPS + abs(c) * r) / -coef_high) ** (1.0 / degree)
+    return GridLaw("Tilt", lambda x: coef_high * x ** degree + c * x, -r, r)
+
+
 @given(degree=st.sampled_from([4, 6]), coef_high=st.floats(-100.0, -0.01),
        tilts=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_tilted_means_match_scalar_grid_law(degree, coef_high, tilts):
     means = _tilted_means(coef_high, degree, np.array(tilts))
     for c, mean in zip(tilts, means):
-        law = GridLaw("Tilt", lambda x: coef_high * x ** degree + c * x,
-                      _tilt_radius(coef_high, degree, c))
-        assert abs(mean - law.mean()) <= 1e-12
+        assert abs(mean - _symmetric_grid_law(coef_high, degree, c).mean()) <= 1e-12
 
 
 @pytest.mark.parametrize("degree", [4, 6])
 @pytest.mark.parametrize("tilt", [-1e3, 1e3])
 def test_tilted_means_narrow_peak(degree, tilt):
-    # a flat high-order term and a large tilt: the peak is a small fraction of [-R_c, R_c]
+    # a flat high-order term and a large tilt: the peak is a small fraction of [-R, R]
     coef_high = -0.01
-    law = GridLaw("Tilt", lambda x: coef_high * x ** degree + tilt * x,
-                  _tilt_radius(coef_high, degree, tilt))
+    law = _symmetric_grid_law(coef_high, degree, tilt)
     assert abs(_tilted_means(coef_high, degree, np.array([tilt]))[0] - law.mean()) <= 1e-12
 
 
@@ -449,8 +458,9 @@ def _reference_grid_law(name, special43):
     if name == "sextic-1.3":
         return sextic_law(1.3)
     if name == "hand-quartic":
-        return GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, 8.0)
-    return GridLaw("Tilted", lambda x: -x ** 6 / 6 - 2.0 * x * x - 3.0 * x, 5.0, n_points=2049)
+        return GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, -8.0, 8.0)
+    return GridLaw("Tilted", lambda x: -x ** 6 / 6 - 2.0 * x * x - 3.0 * x, -5.0, 5.0,
+                   n_points=2049)
 
 
 @pytest.mark.parametrize("name", ["quartic-0", "quartic-tilted", "sextic-0", "sextic-1.3",
@@ -473,7 +483,7 @@ def test_grid_law_matches_scipy_simpson(name, special43):
 
 
 def test_grid_law_cdf_exact_for_quadratic():
-    law = GridLaw("Quadratic", lambda x: np.log(3.0 + x + x * x), 1.0, n_points=9)
+    law = GridLaw("Quadratic", lambda x: np.log(3.0 + x + x * x), -1.0, 1.0, n_points=9)
 
     def antiderivative(x):
         return 3.0 * x + x * x / 2.0 + x ** 3 / 3.0
@@ -487,18 +497,43 @@ def test_grid_law_cdf_exact_for_quadratic():
     assert law.normalization_error <= 1e-15
 
 
-def test_grid_law_flags_a_mode_between_coarse_nodes():
-    # from tilt 2^26 on the sextic mode is narrower than the half-resolution
-    # spacing, so the coarse Simpson sum underflows to 0
+@pytest.mark.parametrize("family", ["quartic", "sextic"])
+def test_tilted_grid_laws_follow_their_mode(family, special43):
+    # the window follows the mode, so the peak stays resolved at every tilt
+    # (a symmetric [-R, R] grid misses it from 2^16 on)
+    spec, pc = special43
+    quartic = family == "quartic"
+    coef_high, degree = (_quartic_coefs(spec, pc)[0], 4) if quartic else (SEXTIC_COEF, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        law = sextic_law(2.0 ** 26)
-    assert law.normalization_error == math.inf
+        for k in range(0, 61, 4):
+            for c in (2.0 ** k, -(2.0 ** k)):
+                # c = h_bar (1 - q) at q = 3, and c = -h_bar for the sextic
+                law = quartic_law(spec, 0.0, -c / 2, pc) if quartic else sextic_law(-c)
+                expected = _tilted_means(coef_high, degree, np.array([c]))[0]
+                assert abs(law.mean() - expected) <= 1e-12 * abs(expected)
+                if k <= 48:
+                    assert law.normalization_error <= 1e-8
+
+
+def test_zero_tilt_windows_are_symmetric(special43):
+    spec, pc = special43
+    sp = compute_special_point(2, 2)
+    small = ModelSpec(2, 2, sp.beta_tilde, 0.0)
+    small_pc = classify_point(small)
+    for law, coef_high, degree in (
+            (quartic_law(spec, point_class=pc), _quartic_coefs(spec, pc)[0], 4),
+            (quartic_law(small, point_class=small_pc), _quartic_coefs(small, small_pc)[0], 4),
+            (sextic_law(0.0), SEXTIC_COEF, 6)):
+        r = (TAIL_LOG_EPS / coef_high) ** (1.0 / degree)
+        assert (law.x[0], law.x[-1]) == (-r, r)
 
 
 def test_grid_law_needs_odd_half_grid():
     with pytest.raises(DomainError):
-        GridLaw("T", lambda x: -x * x, 1.0, n_points=7)
+        GridLaw("T", lambda x: -x * x, -1.0, 1.0, n_points=7)
+    with pytest.raises(DomainError):
+        GridLaw("T", lambda x: -x * x, 1.0, -1.0)
 
 
 def _scalar_oracle(law, scalar_mean):
@@ -570,7 +605,7 @@ def test_composed_mean_loads_no_numpy_ma():
 def test_composed_mean_of_affine_law(shift, slope):
     # mu(t) = -slope (t - shift) makes T = shift + X / slope, X ~ outer; the mean
     # of X under its piecewise-linear cdf is a sum over the outer grid cells
-    outer = GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, 8.0)
+    outer = GridLaw("Tilted", lambda x: -x ** 4 / 4 + 1.5 * x, -8.0, 8.0)
     law = ComposedLaw("Affine", outer, lambda t: -slope * (t - shift))
     x, cdf = outer.x, outer.cdf_values
     outer_mean = float(np.sum(0.5 * (x[1:] + x[:-1]) * np.diff(cdf)))

@@ -104,7 +104,7 @@ def test_samples_csv_header_and_columns(tmp_path):
 def test_density_csv(tmp_path):
     # a grid law on five nodes whose tables are set by hand, so the bytes do
     # not depend on the quadrature
-    law = GridLaw("T", lambda x: -x * x, 1.0, n_points=5)
+    law = GridLaw("T", lambda x: -x * x, -1.0, 1.0, n_points=5)
     law.pdf_values = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
     law.cdf_values = np.array([0.0, 1 / 7, 0.5, 6 / 7, 1.0])
     path = tmp_path / "density.csv"
