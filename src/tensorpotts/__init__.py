@@ -20,8 +20,8 @@ _EXPORTS = {
         "critical_curve", "find_stationary_points", "full_maximizer_set",
         "global_maximizers_1d", "phase_diagram"),
     "exact": (
-        "ExactLaw", "BProfile", "HProfile", "colour_marginals", "expect_u1", "expect_up",
-        "log_partition", "magnetization_law", "tail_prob"),
+        "ExactLaw", "BProfile", "HProfile", "colour_marginals", "log_partition",
+        "magnetization_law", "tail_prob"),
     "sampling": (
         "RescaledSample", "RescaledSamples", "draw_magnetizations", "exact_sample", "rescale"),
     "laws": (

@@ -12,15 +12,15 @@ Each per-colour term is a lookup in one of three tables over c = 0..N
 * the colour profile of c_1.  The weight factorises over colours, so the
   h-free log-mass of c_1 = j is log N! + g(j) + G_{q-1}(N - j), with
   g(c) = -log c! + beta N (c/N)^p and G_k the k-fold log-semiring
-  convolution of g.  ``HProfile``, ``log_partition`` and ``expect_u1``
-  reweight these N+1 values.  At fixed h colours 2..q are exchangeable, so
-  they share one marginal, g(j) + [(g + h id) * G_{q-2}](N - j); with the
-  h-tilted c_1 profile it gives ``colour_marginals`` at any N;
+  convolution of g.  ``HProfile`` and ``log_partition`` reweight these N+1
+  values.  At fixed h colours 2..q are exchangeable, so they share one
+  marginal, g(j) + [(g + h id) * G_{q-2}](N - j); with the h-tilted c_1
+  profile it gives ``colour_marginals`` at any N;
 * orbits of colours 2..q, whose permutations leave the weight at fixed h
   unchanged.  One row per orbit (c_2 >= ... >= c_q) carries the log of the
-  orbit size in its weight.  ``BProfile`` and ``expect_up`` reweight these
-  rows, and ``tail_prob`` sums them, since the distance to a maximizer set
-  closed under those permutations is constant on each orbit.  A row's
+  orbit size in its weight.  ``BProfile`` reweights these rows, and
+  ``tail_prob`` sums them, since the distance to a maximizer set closed
+  under those permutations is constant on each orbit.  A row's
   log-weight is a line in beta, so ``BProfile`` drops the rows certified to
   stay more than CUT = 60 nats below the largest log-weight at every
   beta >= 0, and rejects beta < 0.  The dropped rows, at most SUPPORT_BYTES
@@ -63,6 +63,10 @@ BLOCK_ROWS = 1_000_000
 
 # Cells per row block of a log-semiring convolution (2 MB of float64).
 CONV_CELLS = 1 << 18
+
+# Floor of a max-shifted exponent before exp: terms below e^{-700} cannot move
+# a sum whose largest term is 1, and the floor keeps exp off its slow path.
+EXP_FLOOR = -700.0
 
 # BProfile drops the orbit rows more than CUT nats below the largest
 # log-weight at every beta >= 0: at most SUPPORT_BYTES / 16 rows fit, and
@@ -222,6 +226,7 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cells = a[:hi] + windows[size - hi:size - lo][::-1, :hi]
         top = cells.max(axis=1, keepdims=True)
         cells -= top
+        np.maximum(cells, EXP_FLOOR, out=cells)
         np.exp(cells, out=cells)
         out[lo:hi] = top[:, 0] + np.log(cells.sum(axis=1))
     return out
@@ -277,16 +282,6 @@ def colour_marginals(spec: ModelSpec, N: int) -> tuple:
 def _normalized(log_mass: np.ndarray) -> np.ndarray:
     w = np.exp(log_mass - log_mass.max())
     return w / w.sum()
-
-
-def expect_u1(spec: ModelSpec, N: int) -> float:
-    """u_{N,1}: exact expectation of the first magnetization coordinate."""
-    return HProfile(spec, N).u1(spec.h)
-
-
-def expect_up(spec: ModelSpec, N: int) -> float:
-    """u_{N,p}: exact expectation of the p-norm statistic sum_r xbar_r^p."""
-    return BProfile(spec, N).up(spec.beta)
 
 
 def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None) -> float:
@@ -547,14 +542,13 @@ def _tilted_moments(base: np.ndarray, tilt: np.ndarray, stat: np.ndarray, N: int
 
     ``tilt`` is a scratch array: it is overwritten by the weights.  The
     reductions are elementwise (einsum), never BLAS dot products, so no BLAS
-    thread pool is woken for these 1-D sums.  The largest weight is 1, so
-    weights below exp(-700) cannot move any sum; flooring the exponent there
-    keeps exp and the products out of the slow subnormal range.
+    thread pool is woken for these 1-D sums.  The largest weight is 1, so the
+    exponent is floored at ``EXP_FLOOR``.
     """
     w = tilt
     w += base
     w -= w.max()
-    np.maximum(w, -700.0, out=w)
+    np.maximum(w, EXP_FLOOR, out=w)
     np.exp(w, out=w)
     z = w.sum()
     mean = np.einsum("i,i", w, stat) / z

@@ -14,8 +14,8 @@ Scalar laws come in a few families:
   member of the family and feeds it through the zero-tilt cdf (the means of
   all tilts come from ``_tilted_means``: a short Simpson rule on each tilt's
   window, all tilts at once);
-* chi-square laws, exact through the incomplete gamma function (the one
-  path that imports scipy, when it is used).
+* chi-square laws, exact through the regularized incomplete gamma function
+  of ``_chi2_tails`` (a power series below the mean, finite sums above).
 
 The normal cdf is Cody's rational erf/erfc approximation evaluated in numpy,
 and the normal quantile is AS241 from ``statistics.NormalDist``.
@@ -477,9 +477,35 @@ class SquaredGridLaw(ScalarLaw):
         return _bisect_quantile(self.cdf, u, 0.0, self.c * self.base.x[-1] ** 2)
 
 
+def _chi2_tails(dof: int, x):
+    """(P, Q), both tails of the chi-square law with k = ``dof`` degrees of freedom
+    at x: regularized incomplete gammas at a = k/2, y = x/2.  Below y = a + 1, P
+    is the series e^{-y} sum_n y^{a+n}/Gamma(a+n+1) (DLMF 8.7.1); above, Q is
+    e^{-y} sum_c y^c/Gamma(c+1) over c = a-1, a-2, ... >= 0, plus erfc(sqrt y)
+    = 2 Phi(-sqrt x) for odd k (DLMF 8.4), so "1 - the other tail" never cancels."""
+    a = 0.5 * dof
+    y = 0.5 * np.clip(np.asarray(x, dtype=float), 0.0, np.finfo(float).max)
+    lower, upper = np.empty_like(y), np.empty_like(y)
+    low = y < a + 1.0
+    yl, yu = y[low], y[~low]
+    with np.errstate(divide="ignore"):
+        term = np.exp(a * np.log(yl) - yl - math.lgamma(a + 1.0))
+    series, n = term.copy(), a
+    while (term > 2.0 ** -53 * series).any():
+        n += 1.0
+        term *= yl / n
+        series += term
+    tail = 2.0 * _ndtr(-np.sqrt(2.0 * yu)) if dof % 2 else np.zeros_like(yu)
+    for c in np.arange(a % 1.0, a - 0.5):
+        tail += np.exp(c * np.log(yu) - yu - math.lgamma(c + 1.0))
+    lower[low], upper[low] = series, 1.0 - series
+    lower[~low], upper[~low] = 1.0 - tail, tail
+    return lower[()], upper[()]
+
+
 class ChiSquareLaw(ScalarLaw):
-    """Chi-square law with ``dof`` degrees of freedom, exact through the
-    regularized incomplete gamma function."""
+    """Chi-square law with ``dof`` degrees of freedom, through the regularized
+    incomplete gamma function of ``_chi2_tails``."""
 
     kind = "ChiSquare"
 
@@ -487,9 +513,7 @@ class ChiSquareLaw(ScalarLaw):
         self.dof = int(dof)
 
     def cdf(self, x):
-        from scipy.special import gammainc
-
-        return gammainc(0.5 * self.dof, 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
+        return _chi2_tails(self.dof, x)[0]
 
     def mean(self) -> float:
         return float(self.dof)
@@ -498,9 +522,14 @@ class ChiSquareLaw(ScalarLaw):
         return 2.0 * self.dof
 
     def quantile(self, u):
-        from scipy.special import gammaincinv
-
-        return 2.0 * gammaincinv(0.5 * self.dof, u)
+        """Bisection on the smaller tail in [0, k + 2 sqrt(40 k) + 80], which holds
+        all but e^-40 of the mass (Laurent & Massart 2000, Lemma 1)."""
+        if not 0.0 < u < 1.0:
+            return 0.0 if u <= 0.0 else math.inf
+        hi = self.dof + 2.0 * math.sqrt(40.0 * self.dof) + 80.0
+        if u <= 0.5:
+            return _bisect_quantile(self.cdf, u, 0.0, hi)
+        return _bisect_quantile(lambda x: -_chi2_tails(self.dof, x)[1], u - 1.0, 0.0, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -849,10 +878,7 @@ def gamma1_weight(spec: ModelSpec) -> float:
     the threshold its mean (q-1) a: gamma_1 = P(chi^2_{q-1} <= q-1) for every
     p and beta.
     """
-    from scipy.special import gammainc
-
-    half_dof = 0.5 * (spec.q - 1)
-    return float(gammainc(half_dof, half_dof))
+    return float(ChiSquareLaw(spec.q - 1).cdf(spec.q - 1.0))
 
 
 def _escape_law(name: str, weight: float) -> MixtureLaw:

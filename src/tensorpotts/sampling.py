@@ -92,7 +92,9 @@ def exact_sample(law: ExactLaw, n_samples: int, seed: int) -> np.ndarray:
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     u = np.random.Generator(np.random.Philox(seed)).random(n_samples)
-    idx = np.searchsorted(cum, u, side="left")
+    order = np.argsort(u)  # on sorted keys each search starts from the last hit
+    idx = np.empty(n_samples, dtype=np.intp)
+    idx[order] = np.searchsorted(cum, u[order], side="left")
     return law.support[idx] / law.N
 
 
@@ -134,9 +136,9 @@ def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.n
 
     The draws are grouped by R with one stable argsort.  Each R present gets
     one cumulative row, base[:R+1] + tail[R::-1] shifted by its maximum,
-    exponentiated, accumulated and normalised to end at 1, and its draws get
-    one ``searchsorted`` (side left) on it.  A zero-width cell is only chosen
-    at u = 0 in column 0; it rescales to 0.
+    floored at ``exact.EXP_FLOOR``, exponentiated, accumulated and normalised
+    to end at 1, and its draws get one ``searchsorted`` (side left) on it.  A
+    zero-width cell could only be chosen at u = 0 in column 0; it rescales to 0.
     """
     order = np.argsort(left, kind="stable")
     c, rescaled = np.empty_like(left), np.empty_like(u)
@@ -144,6 +146,7 @@ def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.n
         R = int(left[draws[0]])
         cum = base[:R + 1] + tail[R::-1]
         cum -= cum.max()
+        np.maximum(cum, exact.EXP_FLOOR, out=cum)
         np.exp(cum, out=cum)
         np.cumsum(cum, out=cum)
         cum /= cum[-1]

@@ -1,5 +1,5 @@
 """The one writer behind every CSV/JSON table; it imports only the standard
-library, so the phase-only CLI commands that write tables load no scipy."""
+library, so the phase-only CLI commands that write tables load no other layer."""
 
 import json
 

@@ -95,9 +95,9 @@ def test_criterion_4_monotone_likelihood():
     N, q = 200, 3
     betas = np.linspace(0.1, 1.3, 5)
     hs = np.linspace(0.1, 0.9, 5)
-    u1 = np.array([[tp.expect_u1(tp.ModelSpec(4, q, float(b), float(h)), N)
+    u1 = np.array([[tp.HProfile(tp.ModelSpec(4, q, float(b), float(h)), N).u1(float(h))
                     for b in betas] for h in hs])
-    up = np.array([[tp.expect_up(tp.ModelSpec(4, q, float(b), float(h)), N)
+    up = np.array([[tp.BProfile(tp.ModelSpec(4, q, float(b), float(h)), N).up(float(b))
                     for b in betas] for h in hs])
     ok = (bool(np.all(np.diff(u1, axis=0) > 0)) and bool(np.all(np.diff(u1, axis=1) > 0))
           and bool(np.all(np.diff(up, axis=0) > 0)) and bool(np.all(np.diff(up, axis=1) > 0)))

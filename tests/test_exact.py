@@ -12,8 +12,6 @@ from tensorpotts import (
     ModelSpec,
     colour_marginals,
     critical_curve,
-    expect_u1,
-    expect_up,
     full_maximizer_set,
     log_partition,
     magnetization_law,
@@ -230,7 +228,8 @@ class TestExactLaw:
 class TestExpectations:
     def test_free_case_u1(self):
         for q in (2, 3, 4):
-            assert expect_u1(ModelSpec(3, q, 0.0, 0.0), 20) == pytest.approx(1 / q, abs=1e-12)
+            u1 = HProfile(ModelSpec(3, q, 0.0, 0.0), 20).u1(0.0)
+            assert u1 == pytest.approx(1 / q, abs=1e-12)
 
     def test_monotone_grid(self):
         # strict in both parameters on the open quadrant; at h = 0 exactly,
@@ -238,21 +237,21 @@ class TestExpectations:
         N, q = 60, 3
         betas = np.linspace(0.1, 1.1, 4)
         hs = np.linspace(0.1, 0.9, 4)
-        u1 = np.array([[expect_u1(ModelSpec(4, q, b, h), N) for b in betas] for h in hs])
-        up = np.array([[expect_up(ModelSpec(4, q, b, h), N) for b in betas] for h in hs])
+        u1 = np.array([[HProfile(ModelSpec(4, q, b, h), N).u1(h) for b in betas] for h in hs])
+        up = np.array([[BProfile(ModelSpec(4, q, b, h), N).up(b) for b in betas] for h in hs])
         assert np.all(np.diff(u1, axis=0) > 0) and np.all(np.diff(u1, axis=1) > 0)
         assert np.all(np.diff(up, axis=0) > 0) and np.all(np.diff(up, axis=1) > 0)
 
     def test_h0_axis_cross_flatness(self):
         # the symmetry identity behind the open-quadrant restriction above
-        vals = [expect_u1(ModelSpec(4, 3, b, 0.0), 40) for b in (0.2, 0.8, 1.4)]
+        vals = [HProfile(ModelSpec(4, 3, b, 0.0), 40).u1(0.0) for b in (0.2, 0.8, 1.4)]
         assert np.allclose(vals, 1 / 3, atol=1e-12)
 
     def test_ranges(self):
         spec = ModelSpec(4, 3, 0.9, 0.4)
         N = 80
-        assert 1 / 3 - 1e-9 < expect_u1(spec, N) < 1.0
-        assert 3 ** (1 - 4) - 1e-9 < expect_up(spec, N) < 1.0
+        assert 1 / 3 - 1e-9 < HProfile(spec, N).u1(spec.h) < 1.0
+        assert 3 ** (1 - 4) - 1e-9 < BProfile(spec, N).up(spec.beta) < 1.0
 
     def test_u1_converges_to_maximizer(self, fig_regular_spec):
         from tensorpotts import classify_point, x_of_s
@@ -261,7 +260,7 @@ class TestExpectations:
         m1 = x_of_s(3, pc.witness.s_values[0])[0]
         gaps = []
         for N in (250, 500, 1000):
-            gaps.append(abs(expect_u1(fig_regular_spec, N) - m1))
+            gaps.append(abs(HProfile(fig_regular_spec, N).u1(fig_regular_spec.h) - m1))
         assert gaps[0] > gaps[1] > gaps[2]
         # C/sqrt(N) envelope with a common constant
         c = gaps[0] * math.sqrt(250)
@@ -273,7 +272,7 @@ class TestExpectations:
         spec = ModelSpec(4, 3, 0.9, 0.4)
         N = 40
         via_g = stream_expectation(spec, N, lambda x: x[:, 0])
-        assert via_g == pytest.approx(expect_u1(spec, N), abs=1e-14)
+        assert via_g == pytest.approx(HProfile(spec, N).u1(spec.h), abs=1e-14)
 
 
 class TestTailProb:
@@ -325,7 +324,7 @@ class TestProfiles:
         prof = HProfile(spec, N)
         for h in (0.0, 0.2, 0.7):
             assert prof.u1(h) == pytest.approx(
-                expect_u1(spec.with_params(h=h), N), abs=1e-12)
+                HProfile(spec.with_params(h=h), N).u1(h), abs=1e-12)
 
     def test_b_profile_matches_direct(self):
         spec = ModelSpec(4, 3, 0.0, 0.3)
@@ -333,7 +332,7 @@ class TestProfiles:
         prof = BProfile(spec, N)
         for b in (0.1, 0.6, 1.2):
             assert prof.up(b) == pytest.approx(
-                expect_up(spec.with_params(beta=b), N), abs=1e-12)
+                BProfile(spec.with_params(beta=b), N).up(b), abs=1e-12)
 
     @pytest.mark.parametrize("p,q,beta,h", [(4, 3, 0.616, 0.67), (2, 2, 1.2, 0.1), (5, 4, 0.3, 0.5)])
     def test_moment_derivatives_match_finite_differences(self, p, q, beta, h):
@@ -439,7 +438,7 @@ def test_colour_profile_matches_enumeration(p, q, N, beta, h):
     spec = ModelSpec(p, q, beta, h)
     logz, u1, var1 = _oracle_moments(spec, N, lambda x: x[:, 0])
     assert abs(log_partition(spec, N) - logz) <= 1e-10
-    assert abs(expect_u1(spec, N) - u1) <= 1e-10
+    assert abs(HProfile(spec, N).u1(h) - u1) <= 1e-10
     mean, var = HProfile(spec, N).moments(h)
     assert abs(mean - u1) <= 1e-10 and abs(var - var1) <= 1e-10
 
@@ -508,7 +507,7 @@ class TestSupportBudget:
         # 4.2e10 compositions, 28 GB of orbit rows
         t0 = time.perf_counter()
         with pytest.raises(SupportSizeError):
-            expect_up(ModelSpec(4, 5, 0.6, 0.5), 1000)
+            BProfile(ModelSpec(4, 5, 0.6, 0.5), 1000).up(0.6)
         assert time.perf_counter() - t0 < 1.0
 
     def test_tail_prob_over_budget_raises_at_once(self):

@@ -19,8 +19,6 @@ from tensorpotts import (
     critical_slice_h,
     draw_magnetizations,
     exact_sample,
-    expect_u1,
-    expect_up,
     f_deriv,
     magnetization_law,
     mle_beta,
@@ -44,9 +42,9 @@ class TestRootRecovery:
             beta0 = float(gen.uniform(0.05, 1.2))
             h0 = float(gen.uniform(0.05, 1.0))
             spec = ModelSpec(p, q, beta0, h0)
-            est_h = mle_h(spec, expect_u1(spec, N), N)
+            est_h = mle_h(spec, HProfile(spec, N).u1(h0), N)
             assert est_h.converged and abs(est_h.estimate - h0) < 1e-9
-            est_b = mle_beta(spec, expect_up(spec, N), N)
+            est_b = mle_beta(spec, BProfile(spec, N).up(beta0), N)
             assert est_b.converged and abs(est_b.estimate - beta0) < 1e-9
 
     def test_residual_bound(self):
@@ -67,7 +65,7 @@ class TestRootRecovery:
     def test_boundary_flag(self):
         spec = ModelSpec(4, 3, 0.5, 0.0)
         N = 60
-        floor = expect_u1(spec, N)
+        floor = HProfile(spec, N).u1(spec.h)
         est = mle_h(spec, floor - 0.01, N)
         assert est.boundary and est.estimate == 0.0
 

@@ -37,6 +37,7 @@ from tensorpotts import (
 from tensorpotts.errors import ClassificationError, DomainError
 from tensorpotts.laws import (
     Atom,
+    ChiSquareLaw,
     ComposedLaw,
     GridLaw,
     HalfNormalLaw,
@@ -731,6 +732,57 @@ class TestClosedFormUniformLaws:
         law = norm_p_limit(spec, classify_point(spec))
         for u in (1e-6, 0.025, 0.1, 0.5, 0.9, 0.975, 1 - 1e-6):
             assert abs(law.cdf(law.quantile(u)) - u) <= 1e-12
+
+    def test_chi_square_cdf_matches_scipy_gammainc(self):
+        from scipy.special import gammainc
+
+        x = np.concatenate([np.geomspace(1e-12, 316.0, 20_001),
+                            np.random.default_rng(5).uniform(0.0, 316.0, 20_000)])
+        for k in range(1, 9):
+            ref = gammainc(0.5 * k, 0.5 * x)
+            got = ChiSquareLaw(k).cdf(x)
+            assert np.all(np.abs(got - ref) <= 1e-14), k
+            lower = ref < 0.5
+            assert np.all(np.abs(got[lower] - ref[lower]) <= 5e-14 * ref[lower]), k
+        law = ChiSquareLaw(3)
+        assert law.cdf(2.0) == ChiSquareLaw(3).cdf(np.array([2.0]))[0]
+        assert np.array_equal(law.cdf([-1.0, 0.0, np.inf]), [0.0, 0.0, 1.0])
+
+    def test_chi_square_quantile_matches_scipy_and_round_trips(self):
+        from scipy.special import gammaincinv
+
+        us = (1e-12, 1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.99, 1 - 1e-6, 1 - 1e-12)
+        for k in range(1, 9):
+            law = ChiSquareLaw(k)
+            got = np.array([law.quantile(u) for u in us])
+            ref = 2.0 * gammaincinv(0.5 * k, np.array(us))
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref), k
+            assert np.allclose(law.cdf(got), us, rtol=1e-13, atol=0.0)
+            assert law.quantile(0.0) == 0.0 and law.cdf(0.0) == 0.0
+            assert law.quantile(1.0) == math.inf and law.cdf(math.inf) == 1.0
+
+    def test_uniform_point_laws_load_no_scipy(self):
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from tensorpotts import ModelSpec, bhat_limit, classify_point, gamma1_weight, "
+            "norm_p_limit\n"
+            "spec = ModelSpec(4, 3, 0.5, 0.0)\n"
+            "pc = classify_point(spec)\n"
+            "law = norm_p_limit(spec, pc)\n"
+            "out = [gamma1_weight(spec), bhat_limit(spec, pc).gamma1, law.kind,\n"
+            "       float(law.cdf(law.quantile(0.975)))]\n"
+            "out.append(sorted(m for m, mod in sys.modules.items()\n"
+            "                  if m.split('.')[0] == 'scipy' and mod is not None))\n"
+            "print(json.dumps(out))\n")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        gamma, gamma_b, kind, u, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert gamma == gamma_b == 0.6321205588285577
+        assert kind == "GeneralizedChiSq" and u == pytest.approx(0.975, rel=1e-13)
+        assert scipy_modules == []
 
 
 def _fixed_steps(cdf, u, lo, hi, steps):

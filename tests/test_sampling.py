@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from tensorpotts import (
+    HProfile,
     ModelSpec,
     classify_point,
     compute_special_point,
     draw_magnetizations,
     exact_sample,
-    expect_u1,
     ks_distance,
     magnetization_law,
     quartic_law,
@@ -63,6 +63,21 @@ class TestExactSampler:
         c = exact_sample(law, 500, seed=6)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("spec, N", [
+        (ModelSpec(4, 3, 0.9, 0.4), 40),
+        (ModelSpec(2, 2, 0.5, 0.0), 200),
+        (ModelSpec(4, 4, 0.6, 0.5), 25),
+    ])
+    def test_sorted_search_equals_plain_inversion(self, spec, N):
+        # the reference searches the uniforms in draw order
+        law = magnetization_law(spec, N)
+        cum = np.cumsum(law.probs())
+        cum[-1] = 1.0
+        for seed in (0, 1, 17):
+            u = np.random.Generator(np.random.Philox(seed)).random(5000)
+            rows = law.support[np.searchsorted(cum, u, side="left")] / N
+            assert np.array_equal(exact_sample(law, 5000, seed), rows)
+
     def test_empty(self):
         law = magnetization_law(ModelSpec(2, 2, 0.5, 0.0), 10)
         assert exact_sample(law, 0, seed=0).shape == (0, 2)
@@ -72,7 +87,7 @@ class TestExactSampler:
         N = 60
         law = magnetization_law(spec, N)
         draws = exact_sample(law, 100_000, seed=1)
-        u1 = expect_u1(spec, N)
+        u1 = HProfile(spec, N).u1(spec.h)
         probs = law.probs()
         x1 = law.support[:, 0] / N
         se = math.sqrt(float(probs @ (x1 - u1) ** 2) / len(draws))
@@ -153,8 +168,23 @@ class TestDrawMagnetizations:
         with pytest.raises(DomainError):
             draw_magnetizations(spec, 0, 5, 0)
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(4, 3, 0.616, 0.67), ModelSpec(4, 4, 0.6, 0.5), ModelSpec(2, 3, 60.0, 0.0),
+    ], ids=["q3", "q4", "strong"])
+    def test_exponent_floor_leaves_profile_and_rows_unchanged(self, spec, monkeypatch):
+        # the profile spans far more than 700 nats, so the floor is active; terms
+        # below e^-700 of a row's largest move neither its sum nor its cumulative row
+        N = 3000
+        profile = HProfile(spec, N)._L
+        rows = draw_magnetizations(spec, N, 5000, seed=3)
+        assert profile.max() - profile.min() > 700.0
+        monkeypatch.setattr(exact, "EXP_FLOOR", -np.inf)
+        assert HProfile(spec, N)._L.tobytes() == profile.tobytes()
+        assert np.array_equal(draw_magnetizations(spec, N, 5000, seed=3), rows)
+
     def test_zero_width_cell_rescales_to_zero(self):
-        # exp(-800) underflows: column 0 has zero mass, and u = 0 picks it
+        # exp(-800) is floored to exp(-700): column 0 has mass e^-700 / total,
+        # and u = 0 picks it
         base = np.array([-800.0, 0.0, 0.0])
         c, u = sampling._invert_colour(base, np.zeros(3), np.array([2, 2, 1, 0]), np.zeros(4))
         assert c.tolist() == [0, 0, 0, 0]
