@@ -44,6 +44,7 @@ from .tables import write_table
 GRID_POINTS = 4097
 TAIL_LOG_EPS = math.log(1e-14)
 SEXTIC_COEF = -32.0 / 15.0  # x^6 coefficient of the type-II limit density
+QUANTILE_NEWTON_CALLS = 12  # tail evaluations of one chi-square Newton quantile
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +523,44 @@ class ChiSquareLaw(ScalarLaw):
         return 2.0 * self.dof
 
     def quantile(self, u):
-        """Bisection on the smaller tail in [0, k + 2 sqrt(40 k) + 80], which holds
-        all but e^-40 of the mass (Laurent & Massart 2000, Lemma 1)."""
+        """Safeguarded Newton on the smaller tail, in the bracket [0, k + 2 sqrt(40 k)
+        + 80], which holds all but e^-40 of the mass (Laurent & Massart 2000,
+        Lemma 1), from the Wilson-Hilferty median.
+
+        Below the median it solves log P = log u in log x (P ~ x^(k/2) near 0),
+        above it log Q = log(1 - u) in x (Q ~ e^(-x/2) far out), both with the
+        closed-form density.  Both are concave or convex along the way, so
+        Newton overshoots at most once and then closes in from one side; a
+        step leaving the bracket bisects it, and a solve not done in
+        QUANTILE_NEWTON_CALLS tail evaluations is finished by bisection."""
         if not 0.0 < u < 1.0:
             return 0.0 if u <= 0.0 else math.inf
-        hi = self.dof + 2.0 * math.sqrt(40.0 * self.dof) + 80.0
-        if u <= 0.5:
-            return _bisect_quantile(self.cdf, u, 0.0, hi)
-        return _bisect_quantile(lambda x: -_chi2_tails(self.dof, x)[1], u - 1.0, 0.0, hi)
+        k, a = self.dof, 0.5 * self.dof
+        lower = u <= 0.5
+        target = math.log(u if lower else 1.0 - u)
+        log_norm = a * math.log(2.0) + math.lgamma(a)
+        lo, hi = 0.0, k + 2.0 * math.sqrt(40.0 * k) + 80.0
+        x = k * (1.0 - 2.0 / (9.0 * k)) ** 3
+        for _ in range(QUANTILE_NEWTON_CALLS):
+            p, q = _chi2_tails(k, x)
+            if (p >= u) if lower else (q <= 1.0 - u):
+                hi = x
+            else:
+                lo = x
+            tail = p if lower else q
+            dens = math.exp((a - 1.0) * math.log(x) - 0.5 * x - log_norm)
+            cand = 0.5 * (lo + hi)
+            if tail > 0.0 and dens > 0.0:
+                step = (math.log(tail) - target) * tail / dens
+                new = x * math.exp(-step / x) if lower else x + step
+                if abs(new - x) <= 1e-13 * x:
+                    return new
+                if lo < new < hi:
+                    cand = new
+            x = cand
+        if lower:
+            return _bisect_quantile(self.cdf, u, lo, hi)
+        return _bisect_quantile(lambda t: -_chi2_tails(k, t)[1], u - 1.0, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ call from concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,24 +119,28 @@ def negative_free_energy(spec: ModelSpec, v) -> float:
     return float(spec.beta * np.sum(v ** spec.p) + spec.h * v[0] - ent.sum())
 
 
-def _falling_factorial(p: int, n: int) -> float:
-    out = 1.0
-    for i in range(n):
-        out *= p - i
-    return out
+@functools.lru_cache(maxsize=1024)
+def _k_coefs(p: int, order: int) -> tuple:
+    """Constant factors of k^(n): the falling factorial (p)_n of the polynomial
+    part and, for n >= 2, the entropy factor (-1)^n (n-2)! (None below)."""
+    fall = 1.0
+    for i in range(order):
+        fall *= p - i
+    return fall, (-1.0) ** order * math.factorial(order - 2) if order >= 2 else None
 
 
 def _k_terms(spec: ModelSpec, x, order: int, log):
     """k^(n)(x) at x > 0, with ``log`` math.log for a float x (no numpy call)
     and np.log for an array."""
     p = spec.p
-    poly = spec.beta * _falling_factorial(p, order) * x ** (p - order) if order <= p else 0.0
+    fall, ent_coef = _k_coefs(p, order)
+    poly = spec.beta * fall * x ** (p - order) if order <= p else 0.0
     if order == 0:
         ent = x * log(x)
     elif order == 1:
         ent = log(x) + 1.0
     else:
-        ent = (-1.0) ** order * math.factorial(order - 2) * x ** (1 - order)
+        ent = ent_coef * x ** (1 - order)
     return poly - ent
 
 
@@ -158,7 +163,8 @@ def k_deriv(spec: ModelSpec, x, order: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _ray_coefs(q: int, order: int):
+@functools.lru_cache(maxsize=1024)
+def _ray_coefs(q: int, order: int) -> tuple:
     """Chain-rule factors of k^(n) at (1+(q-1)s)/q and (1-s)/q in f^(n)(s)."""
     # the two coefficients must cancel exactly at order 1 so that f'(0) = 0
     # at h = 0 in floating point; (q-1)*(-1/q)**n rounds differently
@@ -207,7 +213,7 @@ def f_beta_deriv(spec: ModelSpec, s, order: int):
     coef_a, coef_b = _ray_coefs(q, order)
     a = (1.0 + (q - 1.0) * s) / q
     b = (1.0 - s) / q
-    return _falling_factorial(p, order) * (coef_a * a ** (p - order) + coef_b * b ** (p - order))
+    return _k_coefs(p, order)[0] * (coef_a * a ** (p - order) + coef_b * b ** (p - order))
 
 
 def quadratic_form(spec: ModelSpec, s: float, t) -> float:

@@ -13,6 +13,13 @@ II), and computes the landmark objects of the phase diagram:
 * the strongly-critical curve ``beta = phi(h)`` joining ``(beta_c, 0)`` to the
   special point, on which two distinct maximizers tie.
 
+Classification rests on one stationary-point scan, ``_stationary_column``:
+f' on a uniform grid, a refinement pass in each sign-change cell, and a
+polished root per bracket.  f' depends on h only through the constant
+h (q-1)/q, so one scan of f'_{beta,0} serves a whole beta column:
+``phase_diagram`` runs it once per beta for all its h values, and
+``classify_point`` runs it with one h.  Both give a point the same roots.
+
 The landmarks solve small square systems by Newton's method with closed-form
 derivatives, each seeded and certified by one vectorised scan; the curve and
 its slices follow the tie system by natural-parameter continuation (secant
@@ -31,6 +38,7 @@ The classification taxonomy:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,6 +59,7 @@ from .tables import write_table
 # so a coarse grid with one refinement pass near sign changes is safe.
 SCAN_CELLS = 4096
 REFINE_FACTOR = 16
+_SCAN_GRID = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, SCAN_CELLS + 1)
 
 # Stationarity residual targeted by the polisher and required of Newton ties.
 STATIONARY_TOL = 1e-12
@@ -153,6 +162,10 @@ class PhaseDiagram:
 # roots (seen at the type-II point, where f' ~ -s^5/5 underflows near 0).
 SIGN_NOISE_FLOOR = 1e-13
 
+# The column scan takes its rows in blocks of at most this many grid cells
+# (2 MB per float array), whatever the phase-diagram resolution.
+SCAN_BLOCK_CELLS = 2 ** 18
+
 # Newton on the landmark and tie systems stops once a step is below
 # NEWTON_STEP_TOL (relative to max(1, |x|)), the residuals are at rounding
 # level (1e-15), or after NEWTON_MAX_STEPS; the residuals then decide.
@@ -169,9 +182,16 @@ _GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025)[:-1
                                 1.0 - np.logspace(-9, -3, 49)]))
 
 
-def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:
-    """Bisect/Newton hybrid: a few bisection steps to shrink the bracket, then
-    Newton with the bracket as a safeguard."""
+def _polish_root(spec: ModelSpec, lo: float, hi: float, glo: float) -> float:
+    """Root of f' in the bracket [lo, hi] (f'(lo) = glo): a few bisection steps
+    to shrink the bracket, then Newton with the bracket as a safeguard."""
+
+    def g(s):
+        return f_deriv(spec, s, 1)
+
+    def dg(s):
+        return f_deriv(spec, s, 2)
+
     for _ in range(12):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
@@ -204,7 +224,13 @@ def _polish_root(g, dg, lo: float, hi: float, glo: float) -> float:
 
 
 def _stationary(spec: ModelSpec) -> list:
-    """(s, is_local_min) for every root of f' in [0, 1 - delta], ascending.
+    """(s, is_local_min) for every root of f' in [0, 1 - delta], ascending:
+    the one-row case of ``_stationary_column``."""
+    return _stationary_column(spec.p, spec.q, spec.beta, [spec.h])[0]
+
+
+def _stationary_column(p: int, q: int, beta: float, hs) -> list:
+    """The root list of ``_stationary`` at (p, q, beta, h) for every h in ``hs``.
 
     A uniform sign-change scan of f' with one refinement pass near sign
     changes, then bisection and Newton polishing to |f'| <= 1e-12.  s = 0 is
@@ -212,36 +238,61 @@ def _stationary(spec: ModelSpec) -> list:
     h = 0).  The flag is read off the scan's f' signs (f' rising through the
     root), not off f'', so the degenerate maxima at the special points, where
     f'' = 0, are not mistaken for minima.
+
+    f'_{beta,h} = f'_{beta,0} + h (q-1)/q, so the column scans f'_{beta,0}
+    once and each row adds its constant: the same sum ``f_deriv`` forms for
+    one point, so every scan value has the same bits.  Rows go in blocks of
+    at most SCAN_BLOCK_CELLS grid cells; the flagged cells of a block are
+    refined by one ``f_deriv`` call.
     """
-
-    def g(s):
-        return f_deriv(spec, s, 1)
-
-    def dg(s):
-        return f_deriv(spec, s, 2)
-
-    s = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, SCAN_CELLS + 1)
-    v = g(s)
-    sign = np.sign(v)
-    loud = np.abs(v) > SIGN_NOISE_FLOOR
-    roots = []
-    if not loud[0]:
-        # s = 0 is a minimum when f leaves the noise floor rising
-        first = int(np.argmax(loud))
-        roots.append((0.0, bool(loud[first] and v[first] > 0)))
-    # grid nodes where f' lands exactly on 0.0 count only when flanked by
-    # genuinely opposite signs (underflow near flat roots also produces zeros)
-    exact = np.nonzero((v[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0)
-                       & loud[:-2] & loud[2:])[0] + 1
-    roots += [(float(s[i]), bool(v[i - 1] < 0)) for i in exact]
-    for i in np.nonzero((sign[:-1] * sign[1:] < 0) & (loud[:-1] | loud[1:]))[0]:
+    specs = [ModelSpec(p, q, beta, float(h)) for h in hs]
+    spec0 = ModelSpec(p, q, beta, 0.0)
+    s = _SCAN_GRID
+    base = f_deriv(spec0, s, 1)
+    shifts = np.array([spec.h * (q - 1.0) / q for spec in specs])
+    roots = [[] for _ in specs]
+    n = len(s)
+    rows = max(1, SCAN_BLOCK_CELLS // n)
+    for top in range(0, len(specs), rows):
+        # the block's rows end to end: node j is s[j % n] of row top + j // n
+        shift = shifts[top:top + rows, None]
+        v = (base + shift).ravel()
+        pos, neg = v > 0, v < 0
+        loud = np.abs(v) > SIGN_NOISE_FLOOR
+        for r in np.nonzero(~loud[::n])[0]:
+            # s = 0 is a minimum when f leaves the noise floor rising
+            first = r * n + np.argmax(loud[r * n:(r + 1) * n])
+            roots[top + r].append((0.0, bool(loud[first] and v[first] > 0)))
+        # grid nodes where f' lands exactly on 0.0 count only when flanked by
+        # genuinely opposite signs (underflow near flat roots also produces zeros)
+        z = np.nonzero(v == 0.0)[0]
+        z = z[(z % n > 0) & (z % n < n - 1)]
+        if len(z):
+            z = z[((pos[z - 1] & neg[z + 1]) | (neg[z - 1] & pos[z + 1]))
+                  & loud[z - 1] & loud[z + 1]]
+            for j in z:
+                roots[top + j // n].append((float(s[j % n]), bool(v[j - 1] < 0)))
+        # a sign change is a change of positivity with a negative end: the
+        # first test is one pass, the second runs on the few cells it leaves
+        c = np.nonzero(pos[:-1] != pos[1:])[0]
+        c = c[(c % n < n - 1) & (neg[c] | neg[c + 1]) & (loud[c] | loud[c + 1])]
+        if not len(c):
+            continue
+        cell_r, cell_i = c // n, c % n
         # refine once: clustered roots near criticality can share a cell
-        ss = np.linspace(s[i], s[i + 1], REFINE_FACTOR + 1)
-        vv = g(ss)
-        sub = np.nonzero(np.sign(vv[:-1]) * np.sign(vv[1:]) < 0)[0]
-        brackets = [(ss[j], ss[j + 1], vv[j]) for j in sub] or [(s[i], s[i + 1], v[i])]
-        roots += [(_polish_root(g, dg, lo, hi, glo), bool(glo < 0))
-                  for lo, hi, glo in brackets]
+        ss = np.linspace(s[cell_i], s[cell_i + 1], REFINE_FACTOR + 1).T
+        vv = f_deriv(spec0, ss, 1) + shift[cell_r]
+        sub = ((vv[:, :-1] > 0) & (vv[:, 1:] < 0)) | ((vv[:, :-1] < 0) & (vv[:, 1:] > 0))
+        for k, (r, i) in enumerate(zip(cell_r, cell_i)):
+            brackets = ([(ss[k, j], ss[k, j + 1], vv[k, j]) for j in np.nonzero(sub[k])[0]]
+                        or [(s[i], s[i + 1], v[c[k]])])
+            roots[top + r] += [(_polish_root(specs[top + r], lo, hi, glo), bool(glo < 0))
+                               for lo, hi, glo in brackets]
+    return [_merged(row) for row in roots]
+
+
+def _merged(roots: list) -> list:
+    """Sorted roots, dropping any within 1e-11 of the one kept before it."""
     merged = []
     for root in sorted(roots):
         if not merged or root[0] - merged[-1][0] >= 1e-11:
@@ -259,14 +310,15 @@ def find_stationary_points(spec: ModelSpec) -> list:
     return [_point(spec, s) for s, _ in _stationary(spec)]
 
 
-def _maximizer_candidates(spec: ModelSpec) -> list:
-    """The one rule for global-maximizer candidates of f.
+def _maximizer_candidates(spec: ModelSpec, roots: list) -> list:
+    """The one rule for global-maximizer candidates of f, from the root list
+    ``roots`` of ``_stationary``.
 
     Every stationary point that is not a local minimum, plus the guard edge
     s = 1 - delta when f' > 0 there: the maximizer then sits inside the
     boundary guard (strong coupling), and the edge stands in for it.
     """
-    pts = [_point(spec, s) for s, is_min in _stationary(spec) if not is_min]
+    pts = [_point(spec, s) for s, is_min in roots if not is_min]
     edge = 1.0 - BOUNDARY_DELTA
     if f_deriv(spec, edge, 1) > 0:
         pts.append(_point(spec, edge))
@@ -277,9 +329,13 @@ def _maximizer_candidates(spec: ModelSpec) -> list:
 
 def global_maximizers_1d(spec: ModelSpec, tie_tol: float = TIE_TOL) -> list:
     """The ``_maximizer_candidates`` within tie_tol of the largest f (one or two)."""
+    return _winners(_maximizer_candidates(spec, _stationary(spec)), tie_tol)
+
+
+def _winners(pts: list, tie_tol: float) -> list:
+    """The candidates ``pts`` within tie_tol of the largest f (one or two)."""
     if tie_tol <= 0:
         raise DomainError("tie_tol must be positive")
-    pts = _maximizer_candidates(spec)
     best = max(pt.f_value for pt in pts)
     winners = [pt for pt in pts if pt.f_value >= best - tie_tol]
     # the free energy admits at most two tied maximizers
@@ -321,11 +377,18 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
 
     ``tol_class`` bounds |f''(s*)| for the special tags (and |f''''| for type
     II via F4_TOL).  Points with |f''| in (tol_class, 10 tol_class) get a
-    nearness warning but are still classified.  One stationary-point scan.
+    nearness warning but are still classified.  One stationary-point scan:
+    ``_stationary``, the one-row case of the column scan that
+    ``phase_diagram`` runs once per beta.
     """
     if tol_class <= 0:
         raise DomainError("tol_class must be positive")
-    winners = global_maximizers_1d(spec, tie_tol)
+    return _classify(spec, _stationary(spec), tol_class, tie_tol)
+
+
+def _classify(spec: ModelSpec, roots: list, tol_class: float, tie_tol: float) -> PointClass:
+    """``classify_point`` from the root list ``roots`` of ``_stationary``."""
+    winners = _winners(_maximizer_candidates(spec, roots), tie_tol)
     wit = _maximizer_set(spec, winners)
     f_values = tuple(pt.f_value for pt in winners)
     warnings = []
@@ -583,23 +646,36 @@ def critical_curve(p: int, q: int, n_samples: int,
 def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
                   tol_class: float = CLASS_TOL,
                   curve_samples: int = 256) -> PhaseDiagram:
-    """Classify a rectangle of parameter points and attach the landmarks."""
+    """Classify a rectangle of parameter points and attach the landmarks.
+
+    ``resolution`` is one integer or a (beta, h) pair of them.  Each beta
+    column is classified from one ``_stationary_column`` scan, which gives
+    every point the root list, and so the tag, of ``classify_point``.
+    """
     b_lo, b_hi = beta_range
     h_lo, h_hi = h_range
     if not (0 <= b_lo < b_hi and 0 <= h_lo < h_hi):
         raise DomainError("phase-diagram rectangle must lie in the parameter space")
-    if isinstance(resolution, int):
-        res_b = res_h = resolution
-    else:
-        res_b, res_h = resolution
+    try:
+        res_b = res_h = operator.index(resolution)
+    except TypeError:
+        try:
+            res_b, res_h = (operator.index(r) for r in resolution)
+        except (TypeError, ValueError):
+            raise DomainError("phase-diagram resolution must be an integer or a pair of "
+                              f"integers, got {resolution!r}") from None
     if min(res_b, res_h) < 1:
         raise DomainError(f"phase-diagram resolution must be >= 1, got {resolution}")
+    if tol_class <= 0:
+        raise DomainError("tol_class must be positive")
     betas = np.linspace(b_lo, b_hi, res_b)
     hs = np.linspace(h_lo, h_hi, res_h)
     tags = np.empty((res_h, res_b), dtype=object)
-    for i, h in enumerate(hs):
-        for j, b in enumerate(betas):
-            tags[i, j] = classify_point(ModelSpec(p, q, float(b), float(h)), tol_class).tag
+    for j, b in enumerate(betas):
+        column = _stationary_column(p, q, float(b), hs)
+        for i, h in enumerate(hs):
+            spec = ModelSpec(p, q, float(b), float(h))
+            tags[i, j] = _classify(spec, column[i], tol_class, TIE_TOL).tag
     special = compute_special_point(p, q)
     bc = compute_beta_c(p, q)
     curve = critical_curve(p, q, curve_samples, special=special)

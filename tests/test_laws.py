@@ -761,6 +761,21 @@ class TestClosedFormUniformLaws:
             assert law.quantile(0.0) == 0.0 and law.cdf(0.0) == 0.0
             assert law.quantile(1.0) == math.inf and law.cdf(math.inf) == 1.0
 
+    def test_chi_square_quantile_takes_few_tail_evaluations(self, monkeypatch):
+        from tensorpotts import laws
+
+        calls = []
+        tails = laws._chi2_tails
+        monkeypatch.setattr(laws, "_chi2_tails", lambda dof, x: calls.append(x) or tails(dof, x))
+        us = (1e-12, 1e-6, 0.01, 0.05, 0.25, 0.5, 0.5 + 1e-16, 0.75, 0.95, 0.975, 0.99,
+              1 - 1e-6, 1 - 1e-12)
+        for k in (1, 2, 3, 8, 30):
+            for u in us:
+                calls.clear()
+                x = ChiSquareLaw(k).quantile(u)
+                assert 0.0 < x < math.inf
+                assert len(calls) <= 12, (k, u, len(calls))
+
     def test_uniform_point_laws_load_no_scipy(self):
         script = (
             "import json, sys\n"

@@ -194,6 +194,46 @@ class TestFDeriv:
                 b = f_deriv(ModelSpec(4, 3, 0.9, 1.7), s, n)
                 assert a == b
 
+    def test_cached_coefficients_keep_the_bits(self):
+        # the uncached k^(n) and f^(n) the cached factors must reproduce exactly
+        def k_ref(spec, x, order, log):
+            p = spec.p
+            fall = 1.0
+            for i in range(order):
+                fall *= p - i
+            poly = spec.beta * fall * x ** (p - order) if order <= p else 0.0
+            if order == 0:
+                ent = x * log(x)
+            elif order == 1:
+                ent = log(x) + 1.0
+            else:
+                ent = (-1.0) ** order * math.factorial(order - 2) * x ** (1 - order)
+            return poly - ent
+
+        def f_ref(spec, s, order, log):
+            q = spec.q
+            coef_a, coef_b = ((q - 1.0) / q) ** order, (-1.0) ** order * (q - 1.0) / q ** order
+            a = (1.0 + (q - 1.0) * s) / q
+            b = (1.0 - s) / q
+            val = coef_a * k_ref(spec, a, order, log) + coef_b * k_ref(spec, b, order, log)
+            if order == 0:
+                return val + spec.h * a
+            if order == 1:
+                return val + spec.h * (q - 1.0) / q
+            return val
+
+        gen = rng(23)
+        for _ in range(60):
+            p, q = int(gen.integers(2, 13)), int(gen.integers(2, 13))
+            spec = ModelSpec(p, q, float(gen.uniform(0.0, 3.0)), float(gen.uniform(0.0, 2.0)))
+            s = np.append(gen.uniform(0.0, 1.0 - 1e-9, 16), [0.0, 1.0 - 1e-9])
+            for n in range(7):
+                assert np.array_equal(f_deriv(spec, s, n), f_ref(spec, s, n, np.log)), (spec, n)
+                for x in s[[0, -2, -1]]:
+                    assert f_deriv(spec, float(x), n) == f_ref(spec, float(x), n, math.log)
+                assert k_deriv(spec, float(s[0]) / q + 0.1, n) == k_ref(
+                    spec, float(s[0]) / q + 0.1, n, math.log)
+
 
 class TestQuadraticForm:
     def test_zero_vector(self):

@@ -25,7 +25,7 @@ from tensorpotts import (
     phase_diagram,
 )
 from tensorpotts import phase
-from tensorpotts.errors import NonConvergenceError
+from tensorpotts.errors import DomainError, NonConvergenceError
 from tensorpotts.inference import critical_slice_beta, critical_slice_h
 from tensorpotts.phase import (
     TIE_TOL,
@@ -285,6 +285,56 @@ class TestPhaseDiagram:
         assert "Regular" in tags
         assert diagram.beta_c == pytest.approx(2 / 3, abs=1e-8)
         assert diagram.curve == []
+
+    # (p, q, beta range, h range, beta nodes, h nodes); every box has a row at h = 0
+    COLUMN_BOXES = [
+        (4, 2, (0.3, 1.2), (0.0, 0.5), 41, 41),  # the README grid
+        (4, 3, (0.74, 0.82), (0.42, 0.52), 13, 13),  # across the curve near the special point
+        (4, 2, (0.0, 4 / 3), (0.0, 0.5), 21, 11),  # (2/3, 0) on a node: type II
+        (7, 5, (1e-3, 3.3), (0.0, 2.2), 13, 13),
+        (2, 3, (0.0, 60.0), (0.0, 3.0), 11, 11),  # maximizers at the guard edge
+    ]
+
+    @pytest.mark.parametrize("p, q, b_range, h_range, n_b, n_h", COLUMN_BOXES)
+    def test_column_scan_equals_single_points(self, p, q, b_range, h_range, n_b, n_h,
+                                              monkeypatch):
+        # three rows per block, so block ends fall inside every column
+        monkeypatch.setattr(phase, "SCAN_BLOCK_CELLS", 3 * (phase.SCAN_CELLS + 1))
+        hs = np.linspace(*h_range, n_h)
+        tags, most_roots = set(), 0
+        for b in np.linspace(*b_range, n_b):
+            column = phase._stationary_column(p, q, float(b), hs)
+            assert len(column) == n_h
+            for h, roots in zip(hs, column):
+                spec = ModelSpec(p, q, float(b), float(h))
+                assert roots == phase._stationary(spec), spec
+                got = phase._classify(spec, roots, phase.CLASS_TOL, TIE_TOL)
+                want = classify_point(spec)
+                assert (got.tag, got.witness.s_values, got.f_values, got.warnings) == (
+                    want.tag, want.witness.s_values, want.f_values, want.warnings), spec
+                tags.add(want.tag)
+                most_roots = max(most_roots, len(roots))
+        if (p, q, n_b) == (4, 2, 21):
+            assert PointTag.SPECIAL_TYPE_II in tags
+        if (p, q) == (4, 3):
+            assert most_roots == 3  # two local maxima: the box reaches across the curve
+
+    def test_readme_grid_tags_pinned(self):
+        import hashlib
+
+        diagram = phase_diagram(4, 2, (0.3, 1.2), (0.0, 0.5), 41, curve_samples=1)
+        tags = ",".join(t.value for t in diagram.tags.ravel())
+        assert hashlib.sha256(tags.encode()).hexdigest() == (
+            "ac6a8a41879cbf1cd212344155effd8068e71411650f151e654bd72f04005e49")
+
+    def test_resolution_errors_are_typed(self):
+        args = (4, 2, (0.3, 1.2), (0.0, 0.5))
+        diagram = phase_diagram(*args, np.int64(3), curve_samples=1)
+        assert diagram.tags.shape == (3, 3)
+        assert phase_diagram(*args, (np.int64(2), 3), curve_samples=1).tags.shape == (3, 2)
+        for bad in (2.5, (3,), (3, 3, 3), (2, 2.5), "33", None, 0, (1, 0)):
+            with pytest.raises(DomainError):
+                phase_diagram(*args, bad, curve_samples=1)
 
 
 class TestCandidateRule:
