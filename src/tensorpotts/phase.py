@@ -64,6 +64,9 @@ _SCAN_GRID = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, SCAN_CELLS + 1)
 # Stationarity residual targeted by the polisher and required of Newton ties.
 STATIONARY_TOL = 1e-12
 
+# Cap on the polisher's Newton steps (one f' and one f'' evaluation each).
+POLISH_MAX_STEPS = 20
+
 # Absolute tie tolerance (in f-value) for "equal maxima".
 TIE_TOL = 1e-9
 
@@ -183,36 +186,42 @@ _GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025)[:-1
 
 
 def _polish_root(spec: ModelSpec, lo: float, hi: float, glo: float) -> float:
-    """Root of f' in the bracket [lo, hi] (f'(lo) = glo): a few bisection steps
-    to shrink the bracket, then Newton with the bracket as a safeguard."""
+    """Root of f' in the bracket [lo, hi] (f'(lo) = glo): Newton from the
+    midpoint, with the bracket as a safeguard (a step leaving it bisects it),
+    for at most POLISH_MAX_STEPS steps.
 
-    def g(s):
-        return f_deriv(spec, s, 1)
-
-    def dg(s):
-        return f_deriv(spec, s, 2)
-
-    for _ in range(12):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
+    When |f'| is already within STATIONARY_TOL on the midpoint of the
+    refined cell, the root is degenerate (f'' = 0 there, as at the special
+    points): f' stays near rounding level over much of the bracket, Newton
+    crawls and its residual test stops it early, so 12 bisection steps on
+    the sign of f' come first.
+    """
     root = 0.5 * (lo + hi)
-    gr = g(root)
-    for _ in range(8):
+    gr = f_deriv(spec, root, 1)
+    if abs(gr) <= STATIONARY_TOL:
+        for _ in range(12):
+            if gr == 0.0:
+                return float(root)
+            if glo * gr < 0:
+                hi = root
+            else:
+                lo, glo = root, gr
+            root = 0.5 * (lo + hi)
+            gr = f_deriv(spec, root, 1)
+    elif glo * gr < 0:
+        hi = root
+    else:
+        lo, glo = root, gr
+    for _ in range(POLISH_MAX_STEPS):
         if gr == 0.0:
-            return float(root)
-        d = dg(root)
+            break
+        d = f_deriv(spec, root, 2)
         cand = root - gr / d if d != 0.0 else 0.5 * (lo + hi)
         if not (lo <= cand <= hi):
             cand = 0.5 * (lo + hi)
         if cand == root:
             break
-        gc = g(cand)
+        gc = f_deriv(spec, cand, 1)
         if glo * gc < 0:
             hi = cand
         else:
@@ -233,7 +242,7 @@ def _stationary_column(p: int, q: int, beta: float, hs) -> list:
     """The root list of ``_stationary`` at (p, q, beta, h) for every h in ``hs``.
 
     A uniform sign-change scan of f' with one refinement pass near sign
-    changes, then bisection and Newton polishing to |f'| <= 1e-12.  s = 0 is
+    changes, then Newton polishing in each bracket (``_polish_root``).  s = 0 is
     a root when f'(0) = h (q-1)/q is below the sign-noise floor (always at
     h = 0).  The flag is read off the scan's f' signs (f' rising through the
     root), not off f'', so the degenerate maxima at the special points, where

@@ -64,6 +64,16 @@ class TestStationaryPoints:
             for pt in find_stationary_points(spec):
                 assert abs(f_deriv(spec, pt.s, 1)) <= 1e-10
 
+    @pytest.mark.parametrize("beta, h", [(2.97, 1.54), (3.135, 0.385), (2.4753, 0.385)])
+    def test_residuals_polished_near_the_guard(self, beta, h):
+        # maximizers within 1e-6 of s = 1, where |f''| reaches 1e9: one ulp of
+        # s moves f' by about 1e-16 |f''|
+        spec = ModelSpec(7, 5, beta, h)
+        pts = find_stationary_points(spec)
+        assert pts[-1].s > 1.0 - 1e-6
+        for pt in pts:
+            assert abs(f_deriv(spec, pt.s, 1)) <= 1e-12 + 1e-15 * abs(pt.f2)
+
 
 class TestGlobalMaximizers:
     def test_figure_strongly_critical_two_values(self):
