@@ -523,9 +523,9 @@ class ChiSquareLaw(ScalarLaw):
         return 2.0 * self.dof
 
     def quantile(self, u):
-        """Safeguarded Newton on the smaller tail, in the bracket [0, k + 2 sqrt(40 k)
-        + 80], which holds all but e^-40 of the mass (Laurent & Massart 2000,
-        Lemma 1), from the Wilson-Hilferty median.
+        """Safeguarded Newton on the smaller tail from the Wilson-Hilferty median,
+        in the bracket [0, k + 2 sqrt(40 k) + 80] that holds all but e^-40 of
+        the mass (Laurent & Massart 2000, Lemma 1).
 
         Below the median it solves log P = log u in log x (P ~ x^(k/2) near 0),
         above it log Q = log(1 - u) in x (Q ~ e^(-x/2) far out), both with the

@@ -390,13 +390,13 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
     ``_stationary``, the one-row case of the column scan that
     ``phase_diagram`` runs once per beta.
     """
-    if tol_class <= 0:
-        raise DomainError("tol_class must be positive")
     return _classify(spec, _stationary(spec), tol_class, tie_tol)
 
 
 def _classify(spec: ModelSpec, roots: list, tol_class: float, tie_tol: float) -> PointClass:
     """``classify_point`` from the root list ``roots`` of ``_stationary``."""
+    if tol_class <= 0:
+        raise DomainError("tol_class must be positive")
     winners = _winners(_maximizer_candidates(spec, roots), tie_tol)
     wit = _maximizer_set(spec, winners)
     f_values = tuple(pt.f_value for pt in winners)
@@ -675,8 +675,6 @@ def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
                               f"integers, got {resolution!r}") from None
     if min(res_b, res_h) < 1:
         raise DomainError(f"phase-diagram resolution must be >= 1, got {resolution}")
-    if tol_class <= 0:
-        raise DomainError("tol_class must be positive")
     betas = np.linspace(b_lo, b_hi, res_b)
     hs = np.linspace(h_lo, h_hi, res_h)
     tags = np.empty((res_h, res_b), dtype=object)

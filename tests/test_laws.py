@@ -34,6 +34,7 @@ from tensorpotts import (
     v_limit_covariance,
     x_of_s,
 )
+from tensorpotts import laws
 from tensorpotts.errors import ClassificationError, DomainError
 from tensorpotts.laws import (
     Atom,
@@ -762,8 +763,6 @@ class TestClosedFormUniformLaws:
             assert law.quantile(1.0) == math.inf and law.cdf(math.inf) == 1.0
 
     def test_chi_square_quantile_takes_few_tail_evaluations(self, monkeypatch):
-        from tensorpotts import laws
-
         calls = []
         tails = laws._chi2_tails
         monkeypatch.setattr(laws, "_chi2_tails", lambda dof, x: calls.append(x) or tails(dof, x))

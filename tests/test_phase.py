@@ -6,6 +6,8 @@ within about 1e-3 of them, so tests at the literal points use loosened tie and
 classification tolerances sized to that rounding.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -166,6 +168,15 @@ class TestClassification:
         pc = classify_point(spec, tol_class=abs(f2) / 5.0)
         assert pc.tag is PointTag.REGULAR
         assert pc.warnings
+
+    def test_tolerances_must_be_positive(self):
+        spec = ModelSpec(4, 3, 0.616, 0.67)
+        for call in (lambda: classify_point(spec, tol_class=0.0),
+                     lambda: classify_point(spec, tie_tol=0.0),
+                     lambda: global_maximizers_1d(spec, tie_tol=-1e-9),
+                     lambda: phase_diagram(4, 3, (0.5, 1.0), (0.0, 0.5), 2, tol_class=0.0)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_json_dict(self):
         d = classify_point(ModelSpec(4, 3, 0.616, 0.67)).to_json_dict()
@@ -330,8 +341,6 @@ class TestPhaseDiagram:
             assert most_roots == 3  # two local maxima: the box reaches across the curve
 
     def test_readme_grid_tags_pinned(self):
-        import hashlib
-
         diagram = phase_diagram(4, 2, (0.3, 1.2), (0.0, 0.5), 41, curve_samples=1)
         tags = ",".join(t.value for t in diagram.tags.ravel())
         assert hashlib.sha256(tags.encode()).hexdigest() == (
