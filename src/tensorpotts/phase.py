@@ -265,26 +265,28 @@ def _stationary_column(p: int, q: int, beta: float, hs) -> list:
     for top in range(0, len(specs), rows):
         # the block's rows end to end: node j is s[j % n] of row top + j // n
         shift = shifts[top:top + rows, None]
+        # only f' > 0 and f' == 0 take a pass over the block: the sign,
+        # noise-floor and row-end tests run on the few nodes those leave
         v = (base + shift).ravel()
-        pos, neg = v > 0, v < 0
-        loud = np.abs(v) > SIGN_NOISE_FLOOR
-        for r in np.nonzero(~loud[::n])[0]:
+        pos = v > 0
+        for r in np.nonzero(~_loud(v[::n]))[0]:
             # s = 0 is a minimum when f leaves the noise floor rising
-            first = r * n + np.argmax(loud[r * n:(r + 1) * n])
-            roots[top + r].append((0.0, bool(loud[first] and v[first] > 0)))
+            row = v[r * n:(r + 1) * n]
+            first = row[np.argmax(_loud(row))]
+            roots[top + r].append((0.0, bool(_loud(first) and first > 0)))
         # grid nodes where f' lands exactly on 0.0 count only when flanked by
         # genuinely opposite signs (underflow near flat roots also produces zeros)
         z = np.nonzero(v == 0.0)[0]
         z = z[(z % n > 0) & (z % n < n - 1)]
         if len(z):
-            z = z[((pos[z - 1] & neg[z + 1]) | (neg[z - 1] & pos[z + 1]))
-                  & loud[z - 1] & loud[z + 1]]
+            a, b = v[z - 1], v[z + 1]
+            z = z[(((a > 0) & (b < 0)) | ((a < 0) & (b > 0))) & _loud(a) & _loud(b)]
             for j in z:
                 roots[top + j // n].append((float(s[j % n]), bool(v[j - 1] < 0)))
-        # a sign change is a change of positivity with a negative end: the
-        # first test is one pass, the second runs on the few cells it leaves
+        # a sign change is a change of positivity with a negative end
         c = np.nonzero(pos[:-1] != pos[1:])[0]
-        c = c[(c % n < n - 1) & (neg[c] | neg[c + 1]) & (loud[c] | loud[c + 1])]
+        a, b = v[c], v[c + 1]
+        c = c[(c % n < n - 1) & ((a < 0) | (b < 0)) & (_loud(a) | _loud(b))]
         if not len(c):
             continue
         cell_r, cell_i = c // n, c % n
@@ -298,6 +300,11 @@ def _stationary_column(p: int, q: int, beta: float, hs) -> list:
             roots[top + r] += [(_polish_root(specs[top + r], lo, hi, glo), bool(glo < 0))
                                for lo, hi, glo in brackets]
     return [_merged(row) for row in roots]
+
+
+def _loud(v):
+    """f' values above the sign-noise floor."""
+    return np.abs(v) > SIGN_NOISE_FLOOR
 
 
 def _merged(roots: list) -> list:

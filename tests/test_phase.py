@@ -61,6 +61,13 @@ class TestStationaryPoints:
         pts = find_stationary_points(ModelSpec(4, 2, 2 / 3, 0.0))
         assert len(pts) == 1 and pts[0].s == 0.0
 
+    @pytest.mark.parametrize("h", [1e-16, 2e-16, 1e-15])
+    def test_sign_flips_below_the_noise_floor_are_not_roots(self, h):
+        # next to the type-II point f' = h/2 - s^5/5 + rounding stays below
+        # SIGN_NOISE_FLOOR up to s ~ 0.01, and its sign flips there are noise
+        pts = find_stationary_points(ModelSpec(4, 2, 2 / 3, h))
+        assert [pt.s for pt in pts] == [0.0]
+
     def test_residuals_polished(self):
         for spec in (ModelSpec(4, 3, 0.965, 0.2), ModelSpec(7, 5, 1.7, 0.4)):
             for pt in find_stationary_points(spec):
