@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exact
 from .errors import DomainError
@@ -30,6 +31,8 @@ from .exact import ExactLaw
 from .model import ModelSpec, u_vector
 from .phase import SCALE_EXPONENTS, PointClass
 from .tables import write_table
+
+INVERT_BLOCK_CELLS = 2 ** 18  # cumulative cells per block of _invert_colour, 2 MB of float64
 
 
 class RescaledSample(NamedTuple):
@@ -134,28 +137,44 @@ def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.n
     """Invert ``u`` in the law of c = 0..R with log-mass base(c) + tail(R - c),
     R = ``left`` per draw; return c and ``u`` rescaled to [0, 1] in c's cell.
 
-    The draws are grouped by R with one stable argsort.  Each R present gets
-    one cumulative row, base[:R+1] + tail[R::-1] shifted by its maximum,
-    floored at ``exact.EXP_FLOOR``, exponentiated, accumulated and normalised
-    to end at 1, and its draws get one ``searchsorted`` (side left) on it.  A
-    zero-width cell could only be chosen at u = 0 in column 0; it rescales to 0.
+    The draws are grouped by R with one stable argsort, and the R present go
+    in blocks of at most INVERT_BLOCK_CELLS cells (one row at least), one
+    row per R: row R is base[:R+1] + tail[R::-1] shifted by its own maximum,
+    floored at ``exact.EXP_FLOOR``, exponentiated, accumulated and divided by
+    its own entry in column R, each step elementwise or along the row, so
+    every value has the bits a row of its own would have.  Columns past R
+    start at -inf and end at or above 1, above every u.  The draws of each R
+    get one ``searchsorted`` (side left) on its row.  A zero-width cell
+    could only be chosen at u = 0 in column 0; it rescales to 0.
     """
     order = np.argsort(left, kind="stable")
-    c, rescaled = np.empty_like(left), np.empty_like(u)
-    for draws in np.split(order, np.flatnonzero(np.diff(left[order])) + 1):
-        R = int(left[draws[0]])
-        cum = base[:R + 1] + tail[R::-1]
-        cum -= cum.max()
+    sorted_left, us = left[order], u[order]
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(sorted_left)) + 1, [len(left)]))
+    rs = sorted_left[edges[:-1]]
+    # tail[R - c] is flipped[N - R + c], and -inf past column R
+    flipped = np.concatenate((tail[::-1], np.full(int(rs[-1]) + 1, -np.inf)))
+    per_block = max(1, INVERT_BLOCK_CELLS // (int(rs[-1]) + 1))
+    j, below, width = np.empty_like(left), np.empty_like(u), np.empty_like(u)
+    for top in range(0, len(rs), per_block):
+        r = rs[top:top + per_block]
+        seg = edges[top:top + len(r) + 1]  # the block's draws are seg[0]:seg[-1]
+        n = int(r[-1]) + 1
+        cum = base[:n] + sliding_window_view(flipped, n)[len(tail) - 1 - r]
+        cum -= cum.max(axis=1, keepdims=True)
         np.maximum(cum, exact.EXP_FLOOR, out=cum)
         np.exp(cum, out=cum)
-        np.cumsum(cum, out=cum)
-        cum /= cum[-1]
-        ud = u[draws]
-        j = np.searchsorted(cum, ud, side="left")
-        below = np.where(j > 0, cum[j - 1], 0.0)
-        width = cum[j] - below
-        c[draws] = j
-        rescaled[draws] = np.divide(ud - below, width, out=np.zeros_like(ud), where=width > 0)
+        np.cumsum(cum, axis=1, out=cum)
+        cum /= cum[np.arange(len(r)), r][:, None]
+        for row, (a, b) in enumerate(zip(seg[:-1], seg[1:])):
+            j[a:b] = np.searchsorted(cum[row], us[a:b], side="left")
+        block = slice(seg[0], seg[-1])
+        at = np.repeat(np.arange(len(r)) * n, np.diff(seg)) + j[block]
+        cum = cum.ravel()
+        below[block] = np.where(j[block] > 0, cum[at - 1], 0.0)
+        width[block] = cum[at] - below[block]
+    c, rescaled = np.empty_like(left), np.empty_like(u)
+    c[order] = j
+    rescaled[order] = np.divide(us - below, width, out=np.zeros_like(u), where=width > 0)
     return c, rescaled
 
 

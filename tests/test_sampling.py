@@ -148,10 +148,12 @@ class TestDrawMagnetizations:
         (ModelSpec(2, 3, 60.0, 0.0), 40),
     ], ids=["regular", "type-i", "q4", "zero-mass-cells"])
     def test_small_blocks_leave_rows_unchanged(self, spec, N, monkeypatch):
-        # exact._log_convolve in blocks of one row each and of a few rows per
-        # block: the partial convolutions, and so the rows drawn, do not change
+        # exact._log_convolve and sampling._invert_colour in blocks of one row
+        # each and of a few rows per block: the partial convolutions, the
+        # cumulative rows, and so the rows drawn, do not change
         for cells in (1, 200):
             monkeypatch.setattr(exact, "CONV_CELLS", cells)
+            monkeypatch.setattr(sampling, "INVERT_BLOCK_CELLS", cells)
             assert assert_rows_match_inversion(spec, N, 3000, seed=8) == 0
 
     def test_errors_match_exact_sample(self):
