@@ -6,14 +6,25 @@ All floats are printed with 17 significant digits so files round-trip exactly,
 and identical invocations (including seeds) produce byte-identical output.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric non-convergence.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set, or numpy was loaded before this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
+
+# Set before numpy loads, or OpenBLAS starts a worker per extra core.  The
+# library keeps its reductions off BLAS (small q x q products and one 64-row
+# gemv at most), so those workers only spin and burn CPU after each call.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -501,3 +501,48 @@ class TestImports:
         listed = dir(tensorpotts)
         assert set(tensorpotts.__all__) <= set(listed)
         assert {"phase", "inference", "__version__"} <= set(listed)
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _threads_after(imports, **preset):
+    """Import ``imports`` in a fresh interpreter whose environment has none of
+    THREAD_VARS except ``preset``; return those variables and the thread count
+    (None without /proc)."""
+    script = (
+        "import json, os\n"
+        + "".join(f"import {name}\n" for name in imports) +
+        "task = '/proc/self/task'\n"
+        f"print(json.dumps([{{v: os.environ.get(v) for v in {THREAD_VARS!r}}},\n"
+        "                   len(os.listdir(task)) if os.path.isdir(task) else None]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestThreadDefault:
+    UNSET = dict.fromkeys(THREAD_VARS)
+
+    def test_cli_import_runs_one_blas_thread(self):
+        env, threads = _threads_after(["tensorpotts.cli"])
+        assert env == {**self.UNSET, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert threads == 1
+
+    def test_a_variable_the_user_set_wins(self):
+        env, _ = _threads_after(["tensorpotts.cli"], OPENBLAS_NUM_THREADS="2")
+        assert env == {**self.UNSET, "OPENBLAS_NUM_THREADS": "2"}
+
+    def test_library_imports_leave_the_environment(self):
+        env, _ = _threads_after(["tensorpotts", "tensorpotts.phase", "tensorpotts.exact",
+                                 "tensorpotts.laws"])
+        assert env == self.UNSET
+
+    def test_numpy_loaded_first_leaves_the_environment(self):
+        env, _ = _threads_after(["numpy", "tensorpotts.cli"])
+        assert env == self.UNSET
