@@ -32,7 +32,7 @@ from .model import ModelSpec, u_vector
 from .phase import SCALE_EXPONENTS, PointClass
 from .tables import write_table
 
-INVERT_BLOCK_CELLS = 2 ** 18  # cumulative cells per block of _invert_colour, 2 MB of float64
+INVERT_BLOCK_CELLS = 2 ** 15  # cumulative cells per block of _invert_colour, 256 kB of float64
 
 
 class RescaledSample(NamedTuple):
@@ -148,33 +148,37 @@ def _invert_colour(base: np.ndarray, tail: np.ndarray, left: np.ndarray, u: np.n
     could only be chosen at u = 0 in column 0; it rescales to 0.
     """
     order = np.argsort(left, kind="stable")
-    sorted_left, us = left[order], u[order]
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(sorted_left)) + 1, [len(left)]))
-    rs = sorted_left[edges[:-1]]
+    counts = np.bincount(left)
+    rs = np.flatnonzero(counts)
+    edges = np.concatenate(([0], np.cumsum(counts[rs])))  # R = rs[i] has order[edges[i]:edges[i+1]]
     # tail[R - c] is flipped[N - R + c], and -inf past column R
     flipped = np.concatenate((tail[::-1], np.full(int(rs[-1]) + 1, -np.inf)))
     per_block = max(1, INVERT_BLOCK_CELLS // (int(rs[-1]) + 1))
-    j, below, width = np.empty_like(left), np.empty_like(u), np.empty_like(u)
+    c, rescaled = np.empty_like(left), np.empty_like(u)
     for top in range(0, len(rs), per_block):
         r = rs[top:top + per_block]
-        seg = edges[top:top + len(r) + 1]  # the block's draws are seg[0]:seg[-1]
         n = int(r[-1]) + 1
-        cum = base[:n] + sliding_window_view(flipped, n)[len(tail) - 1 - r]
+        cum = sliding_window_view(flipped, n)[len(tail) - 1 - r]
+        cum += base[:n]
         cum -= cum.max(axis=1, keepdims=True)
         np.maximum(cum, exact.EXP_FLOOR, out=cum)
         np.exp(cum, out=cum)
         np.cumsum(cum, axis=1, out=cum)
         cum /= cum[np.arange(len(r)), r][:, None]
+        seg = edges[top:top + len(r) + 1]
+        draws = order[seg[0]:seg[-1]]
+        ud = u[draws]
+        j = np.empty_like(draws)
+        seg = seg - seg[0]
         for row, (a, b) in enumerate(zip(seg[:-1], seg[1:])):
-            j[a:b] = np.searchsorted(cum[row], us[a:b], side="left")
-        block = slice(seg[0], seg[-1])
-        at = np.repeat(np.arange(len(r)) * n, np.diff(seg)) + j[block]
+            j[a:b] = np.searchsorted(cum[row], ud[a:b], side="left")
+        at = np.repeat(np.arange(len(r)) * n, np.diff(seg))
+        at += j
         cum = cum.ravel()
-        below[block] = np.where(j[block] > 0, cum[at - 1], 0.0)
-        width[block] = cum[at] - below[block]
-    c, rescaled = np.empty_like(left), np.empty_like(u)
-    c[order] = j
-    rescaled[order] = np.divide(us - below, width, out=np.zeros_like(u), where=width > 0)
+        below = np.where(j > 0, cum[at - 1], 0.0)
+        width = cum[at] - below
+        c[draws] = j
+        rescaled[draws] = np.divide(ud - below, width, out=np.zeros_like(ud), where=width > 0)
     return c, rescaled
 
 
