@@ -33,9 +33,7 @@ def main():
     pc = tp.classify_point(spec)
     if pc.tag is not tp.PointTag.REGULAR:
         raise SystemExit(f"point classifies {pc.tag.value}; pick a regular point")
-    s_star = pc.witness.s_values[0]
-    q = args.q
-    sd_theory = math.sqrt(-(q * q / (q - 1.0) ** 2) * tp.f_deriv(spec, s_star, 2))
+    sd_theory = tp.hhat_limit(spec, pc).sigma
 
     profile = HProfile(spec, args.N)
     draws = tp.draw_magnetizations(spec, args.N, args.replicates, args.seed)

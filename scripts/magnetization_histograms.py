@@ -26,14 +26,7 @@ def emit(name, spec, N, n_samples, seed, outdir, project=None):
     rescaled = tp.rescale(draws, spec, pc, N)
     write_samples_csv(outdir / f"samples_{name}.csv", rescaled, spec, N, seed)
 
-    if pc.tag is tp.PointTag.SPECIAL_TYPE_I:
-        overlay = laws.quartic_law(spec, point_class=pc)
-    elif pc.tag is tp.PointTag.SPECIAL_TYPE_II:
-        overlay = laws.sextic_law(0.0)
-    elif pc.tag is tp.PointTag.REGULAR:
-        overlay = laws.gaussian_limit_regular(spec, point_class=pc).project(project)
-    else:
-        overlay = laws.critical_mixture_law(spec, point_class=pc).project(project)
+    overlay, _ = laws.limit_law(spec, pc, project)
     laws.density_table_csv(overlay, outdir / f"density_{name}.csv")
     print(f"{name}: tag = {pc.tag.value}, N = {N}, samples = {n_samples}")
 

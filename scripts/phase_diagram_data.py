@@ -16,11 +16,9 @@ from tensorpotts.tables import write_table
 
 def emit(p, q, beta_max, h_max, resolution, curve_samples, outdir):
     tag = f"p{p}_q{q}"
-    bc = tp.compute_beta_c(p, q)
-    sp = tp.compute_special_point(p, q)
-    curve = tp.critical_curve(p, q, curve_samples, special=sp)
     diagram = tp.phase_diagram(p, q, (1e-3, beta_max), (0.0, h_max), resolution,
-                               curve_samples=max(curve_samples // 4, 8) if curve else 8)
+                               curve_samples=curve_samples)
+    bc, sp, curve = diagram.beta_c, diagram.special, diagram.curve
 
     write_table(outdir / f"phase_grid_{tag}.csv", ["beta", "h", "tag"],
                 [(b, h, diagram.tags[i, j].value) for i, h in enumerate(diagram.h_values)

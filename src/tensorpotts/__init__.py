@@ -28,10 +28,10 @@ _EXPORTS = {
         "ComposedLaw", "GaussianSimplex", "GridLaw", "HalfNormalLaw",
         "MixtureGaussianSimplex", "MixtureLaw", "NormalLaw", "ScalarLaw", "bhat_limit",
         "critical_mixture_law", "gaussian_limit_regular", "gamma1_weight", "hhat_limit",
-        "ks_distance", "mixture_weights", "norm_p_limit", "quartic_law", "sextic_law",
-        "v_limit_covariance"),
+        "ks_distance", "limit_law", "mixture_weights", "norm_p_limit", "quartic_law",
+        "sextic_law", "v_limit_covariance"),
     "inference": (
-        "ConfidenceSet", "EstimationResult", "augment_ci", "ci_beta", "ci_h",
+        "ConfidenceSet", "EstimationResult", "augment_ci", "ci_beta", "ci_h", "confidence_set",
         "critical_slice_beta", "critical_slice_h", "mle_beta", "mle_h", "two_step_ci"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,7 +33,6 @@ import numpy as np
 from . import phase
 from .errors import DomainError, NonConvergenceError, PreconditionError, TensorPottsError
 from .model import ModelSpec
-from .phase import PointTag
 from .tables import write_table
 
 EXIT_PRECONDITION = 2
@@ -54,7 +53,10 @@ def _direction(args, q: int):
         return None
     if len(args.project) != q:
         raise DomainError(f"--project needs q={q} components, got {len(args.project)}")
-    return np.asarray(args.project)
+    direction = np.asarray(args.project)
+    if not np.all(np.isfinite(direction)):
+        raise DomainError(f"--project components must be finite, got {args.project}")
+    return direction
 
 
 def _check_draw_flags(args, min_samples=None) -> None:
@@ -151,24 +153,6 @@ def _rescaled_draws(args, spec: ModelSpec):
     return pc, sampling.rescale(_exact_draws(args, spec, args.samples), spec, pc, args.N)
 
 
-def _limit_law(spec: ModelSpec, pc, direction):
-    """(law, name) of the limit: the T_N law at the special points, else the
-    simplex law projected on ``direction`` ((None, None) without one)."""
-    from . import laws
-
-    if pc.tag is PointTag.SPECIAL_TYPE_I:
-        return laws.quartic_law(spec, point_class=pc), "quartic T_N limit"
-    if pc.tag is PointTag.SPECIAL_TYPE_II:
-        return laws.sextic_law(0.0), "sextic T_N limit"
-    if direction is None:
-        return None, None
-    if pc.tag is PointTag.REGULAR:
-        simplex_law, name = laws.gaussian_limit_regular, "projected Gaussian limit"
-    else:
-        simplex_law, name = laws.critical_mixture_law, "projected Gaussian-mixture limit"
-    return simplex_law(spec, point_class=pc).project(direction), name
-
-
 def cmd_simulate(args) -> None:
     _check_draw_flags(args, min_samples=0)
     from . import laws, sampling
@@ -178,7 +162,7 @@ def cmd_simulate(args) -> None:
     pc, rescaled = _rescaled_draws(args, spec)
     if args.out:
         sampling.write_samples_csv(args.out, rescaled, spec, args.N, args.seed)
-    overlay, _ = _limit_law(spec, pc, direction)
+    overlay, _ = laws.limit_law(spec, pc, direction)
     density_out = None
     if overlay is not None and args.out:
         density_out = args.out + ".density.csv"
@@ -213,20 +197,8 @@ def _estimate_payload(args, method: str) -> dict:
     from . import inference
 
     spec = _spec(args)
-    data = _load_data_vector(args, spec)
-    if args.param == "h":
-        est = inference.mle_h(spec, float(data[0]), args.N)
-        ci, critical_slice, other = inference.ci_h, inference.critical_slice_h, spec.beta
-    else:
-        est = inference.mle_beta(spec, float(np.sum(data ** spec.p)), args.N)
-        ci, critical_slice, other = inference.ci_beta, inference.critical_slice_beta, spec.h
-    if method == "two_step":
-        cs = inference.two_step_ci(spec, data, args.N, args.alpha, param=args.param,
-                                   estimate=est)
-    else:
-        cs = ci(spec, data, args.N, args.alpha, estimate=est)
-        if method == "augmented":
-            cs = inference.augment_ci(cs, critical_slice(spec.p, spec.q, other))
+    est, cs = inference.confidence_set(spec, _load_data_vector(args, spec), args.N,
+                                       args.alpha, args.param, method)
     payload = est.to_json_dict()
     payload["ci"] = cs.to_json_dict()
     payload["param"] = args.param
@@ -246,6 +218,8 @@ def cmd_ci(args) -> None:
 def cmd_limit_check(args) -> None:
     # the KS distance needs at least one sample
     _check_draw_flags(args, min_samples=1)
+    if not args.ks_tol >= 0:
+        raise DomainError(f"--ks-tol must be nonnegative, got {args.ks_tol}")
     from . import laws
 
     spec = _spec(args)
@@ -253,7 +227,7 @@ def cmd_limit_check(args) -> None:
     if direction is None:
         direction = np.eye(spec.q)[0]
     pc, rescaled = _rescaled_draws(args, spec)
-    target, descriptor = _limit_law(spec, pc, direction)
+    target, descriptor = laws.limit_law(spec, pc, direction)
     # t_n is set exactly at the special points, whose laws are on T_N
     stat = rescaled.t_n
     if stat is None:

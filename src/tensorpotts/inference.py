@@ -33,6 +33,7 @@ come from Newton continuation of the tie system along the critical curve.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError, PreconditionError
 from .exact import BProfile, HProfile
-from .model import ModelSpec, as_prob_vector, f_deriv
+from .model import BOUNDARY_DELTA, ModelSpec, as_prob_vector, f_deriv
 from .phase import (
     SCALE_EXPONENTS,
     PointTag,
@@ -295,7 +296,7 @@ def _estimation_result(observed, root, iters, bracket, converged, boundary,
 def _plugin_curvature(spec: ModelSpec, beta_slot: float, data_x: np.ndarray) -> float:
     """-f''_{beta,0} at the plug-in s = 1 - q * xbar_q (f'' is h-free)."""
     s_plug = 1.0 - spec.q * float(data_x[-1])
-    if not (0.0 <= s_plug <= 1.0 - 1e-9):
+    if not (0.0 <= s_plug <= 1.0 - BOUNDARY_DELTA):
         raise DegenerateIntervalError(
             f"plug-in s = {s_plug} outside [0, 1): the sample's last coordinate "
             "is too extreme for the plug-in interval")
@@ -405,6 +406,54 @@ def augment_ci(cs: ConfidenceSet, slice_points) -> ConfidenceSet:
                          appended_points=appended)
 
 
+# Per parameter: the observed statistic, the ML solve, the plain interval,
+# the critical slice at the other parameter's value, and the estimator's
+# limit law in ``laws`` (imported on the two-step path alone).
+_Rule = namedtuple("_Rule", "statistic mle ci critical_slice limit")
+_PARAM_RULES = {
+    "h": _Rule(lambda spec, x: float(x[0]), mle_h, ci_h,
+               lambda spec: critical_slice_h(spec.p, spec.q, spec.beta), "hhat_limit"),
+    "beta": _Rule(lambda spec, x: float(np.sum(x ** spec.p)), mle_beta, ci_beta,
+                  lambda spec: critical_slice_beta(spec.p, spec.q, spec.h), "bhat_limit"),
+}
+
+
+def confidence_set(spec: ModelSpec, data_x, N: int, alpha: float, param: str,
+                   method: str, estimate: EstimationResult | None = None):
+    """(ML estimate, confidence set) of ``param`` ("h" or "beta") from the
+    data vector.  ``method`` is ``plain``, ``augmented`` (``augment_ci`` with
+    the critical slice) or ``two_step`` (see ``two_step_ci``); ``estimate``
+    is the ML estimate from the same data, when the caller already has it."""
+    if param not in _PARAM_RULES:
+        raise DomainError(f"param must be 'h' or 'beta', got {param!r}")
+    if method not in ("plain", "augmented", "two_step"):
+        raise DomainError(f"method must be plain, augmented or two_step, got {method!r}")
+    if not 0 < alpha < 1:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    rule = _PARAM_RULES[param]
+    data_x = as_prob_vector(data_x, spec.q)
+    if estimate is None:
+        estimate = rule.mle(spec, rule.statistic(spec, data_x), N)
+    slice_pts = [] if method == "plain" else rule.critical_slice(spec)
+    if method == "two_step" and slice_pts:
+        target = slice_pts[0]
+        null_spec = spec.with_params(**{param: target})
+        pclass = classify_point(null_spec)
+        # a slice point that classifies regular falls back to the plain interval
+        if pclass.tag is not PointTag.REGULAR:
+            from . import laws
+
+            law = getattr(laws, rule.limit)(null_spec, pclass)
+            stat = N ** (1.0 - SCALE_EXPONENTS[pclass.tag]) * (estimate.estimate - target)
+            if law.quantile(alpha / 2.0) <= stat <= law.quantile(1.0 - alpha / 2.0):
+                return estimate, ConfidenceSet(interval=(target, target), level=1.0 - alpha,
+                                               method="two_step")
+    cs = rule.ci(spec, data_x, N, alpha, estimate=estimate)
+    if method == "augmented":
+        return estimate, augment_ci(cs, slice_pts)
+    return estimate, ConfidenceSet(interval=cs.interval, level=cs.level, method=method)
+
+
 def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
                 param: str = "h",
                 estimate: EstimationResult | None = None) -> ConfidenceSet:
@@ -416,46 +465,4 @@ def two_step_ci(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
     ``estimate`` is the ML estimate of ``param`` from the same data, when
     the caller already has it.
     """
-    from .laws import bhat_limit, hhat_limit
-
-    data_x = as_prob_vector(data_x, spec.q)
-    est = estimate
-    if param == "h":
-        if est is None:
-            est = mle_h(spec, float(data_x[0]), N)
-        slice_pts = critical_slice_h(spec.p, spec.q, spec.beta)
-
-        def plain():
-            return ci_h(spec, data_x, N, alpha, estimate=est)
-
-    elif param == "beta":
-        if est is None:
-            est = mle_beta(spec, float(np.sum(data_x ** spec.p)), N)
-        slice_pts = critical_slice_beta(spec.p, spec.q, spec.h)
-
-        def plain():
-            return ci_beta(spec, data_x, N, alpha, estimate=est)
-
-    else:
-        raise DomainError("param must be 'h' or 'beta'")
-
-    def plain_as_two_step():
-        cs = plain()
-        return ConfidenceSet(interval=cs.interval, level=cs.level, method="two_step")
-
-    if not slice_pts:
-        return plain_as_two_step()
-    target = slice_pts[0]
-    null_spec = spec.with_params(**{param: target} if param == "beta" else {"h": target})
-    pclass = classify_point(null_spec)
-    if pclass.tag is PointTag.REGULAR:
-        # the slice point classified regular: fall back to the plain interval
-        return plain_as_two_step()
-    law = hhat_limit(null_spec, pclass) if param == "h" else bhat_limit(null_spec, pclass)
-    stat = N ** (1.0 - SCALE_EXPONENTS[pclass.tag]) * (est.estimate - target)
-    lo_q = law.quantile(alpha / 2.0)
-    hi_q = law.quantile(1.0 - alpha / 2.0)
-    if lo_q <= stat <= hi_q:
-        return ConfidenceSet(interval=(target, target), level=1.0 - alpha,
-                             method="two_step")
-    return plain_as_two_step()
+    return confidence_set(spec, data_x, N, alpha, param, "two_step", estimate)[1]

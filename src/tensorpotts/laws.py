@@ -808,6 +808,24 @@ def critical_mixture_law(spec: ModelSpec, beta_bar: float = 0.0, h_bar: float = 
     return MixtureGaussianSimplex(weights, comps)
 
 
+def limit_law(spec: ModelSpec, point_class: PointClass, direction=None):
+    """(law, name) of the limit of the statistic ``sampling.rescale`` reports:
+    T_N at the special points, else the simplex limit projected on
+    ``direction`` ((None, None) without one)."""
+    tag = point_class.tag
+    if tag is PointTag.SPECIAL_TYPE_I:
+        return quartic_law(spec, point_class=point_class), "quartic T_N limit"
+    if tag is PointTag.SPECIAL_TYPE_II:
+        return sextic_law(0.0), "sextic T_N limit"
+    if direction is None:
+        return None, None
+    if tag is PointTag.REGULAR:
+        simplex_law, name = gaussian_limit_regular, "projected Gaussian limit"
+    else:
+        simplex_law, name = critical_mixture_law, "projected Gaussian-mixture limit"
+    return simplex_law(spec, point_class=point_class).project(direction), name
+
+
 def v_limit_covariance(spec: ModelSpec,
                        point_class: PointClass | None = None) -> GaussianSimplex:
     """Rank-(q-2) Gaussian limit of V_N at a type-I special point."""

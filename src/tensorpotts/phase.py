@@ -350,8 +350,8 @@ def global_maximizers_1d(spec: ModelSpec, tie_tol: float = TIE_TOL) -> list:
 
 def _winners(pts: list, tie_tol: float) -> list:
     """The candidates ``pts`` within tie_tol of the largest f (one or two)."""
-    if tie_tol <= 0:
-        raise DomainError("tie_tol must be positive")
+    if not 0.0 < tie_tol < np.inf:
+        raise DomainError(f"tie_tol must be finite and positive, got {tie_tol}")
     best = max(pt.f_value for pt in pts)
     winners = [pt for pt in pts if pt.f_value >= best - tie_tol]
     # the free energy admits at most two tied maximizers
@@ -402,8 +402,8 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
 
 def _classify(spec: ModelSpec, roots: list, tol_class: float, tie_tol: float) -> PointClass:
     """``classify_point`` from the root list ``roots`` of ``_stationary``."""
-    if tol_class <= 0:
-        raise DomainError("tol_class must be positive")
+    if not 0.0 < tol_class < np.inf:
+        raise DomainError(f"tol_class must be finite and positive, got {tol_class}")
     winners = _winners(_maximizer_candidates(spec, roots), tie_tol)
     wit = _maximizer_set(spec, winners)
     f_values = tuple(pt.f_value for pt in winners)

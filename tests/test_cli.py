@@ -364,9 +364,18 @@ class TestExitCodes:
         ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/missing.csv"],
         ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/words.csv"],
         ["estimate", *REGULAR, "--param", "h", "--N", "30", "--data", "{tmp}/empty.csv"],
+        ["classify", *REGULAR, "--tol-class", "nan"],
+        ["limit-check", "--p", "4", "--q", "3", "--beta", "0.6", "--h", "0.1", "--N", "10",
+         "--samples", "5", "--project", "nan", "0", "0"],
+        ["simulate", "--p", "4", "--q", "3", "--beta", "0.6", "--h", "0.1", "--N", "10",
+         "--samples", "5", "--project", "nan", "0", "0", "--out", "{tmp}/s.csv"],
+        ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--ks-tol", "-1"],
+        ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--ks-tol", "nan"],
     ], ids=["simulate-project-length", "limit-check-project-length", "simulate-seed",
             "limit-check-seed", "estimate-seed", "resolution-negative", "resolution-zero",
-            "out-missing-dir", "data-missing", "data-not-numeric", "data-empty"])
+            "out-missing-dir", "data-missing", "data-not-numeric", "data-empty",
+            "classify-tol-class-nan", "limit-check-project-nan", "simulate-project-nan",
+            "limit-check-ks-tol-negative", "limit-check-ks-tol-nan"])
     def test_bad_input_exits_two_without_traceback(self, capsys, recwarn, tmp_path, argv):
         (tmp_path / "words.csv").write_text("x1,x2,x3\nfirst,second,third\n")
         (tmp_path / "empty.csv").write_text("# x1,x2,x3\n")
@@ -374,6 +383,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and err.strip()
+        # rejected before any draw, so nothing written
+        assert not (tmp_path / "s.csv").exists()
         if "{tmp}/empty.csv" in argv:
             # no numpy warning ahead of the one message
             assert not recwarn.list

@@ -553,3 +553,61 @@ class TestTwoStep:
         data = exact_sample(magnetization_law(spec, N), 1, seed=55)[0]
         cs = two_step_ci(spec, data, N, 0.05, param="h")
         assert cs.interval == (0.0, 0.0)
+
+
+class TestConfidenceSet:
+    """``confidence_set`` gives what the per-parameter calls give, for every
+    parameter and method."""
+
+    N = 1000
+    METHODS = ("plain", "augmented", "two_step")
+
+    @staticmethod
+    def _direct(spec, data, N, param, method):
+        if param == "h":
+            est = mle_h(spec, float(data[0]), N)
+            cs = ci_h(spec, data, N, 0.05, estimate=est)
+            slice_pts = critical_slice_h(spec.p, spec.q, spec.beta)
+        else:
+            est = mle_beta(spec, float(np.sum(data ** spec.p)), N)
+            cs = ci_beta(spec, data, N, 0.05, estimate=est)
+            slice_pts = critical_slice_beta(spec.p, spec.q, spec.h)
+        if method == "augmented":
+            cs = augment_ci(cs, slice_pts)
+        elif method == "two_step":
+            cs = two_step_ci(spec, data, N, 0.05, param=param)
+        return est, cs
+
+    # the README point, where both slices are empty; T(0.3) = {0.8966...},
+    # which the augmented beta set appends; S(1.3) = {0}, which the two-step
+    # h set accepts on data drawn at h = 0
+    @pytest.mark.parametrize("spec, param", [
+        (ModelSpec(4, 3, 0.616, 0.67), "h"), (ModelSpec(4, 3, 0.616, 0.67), "beta"),
+        (ModelSpec(4, 3, 1.3, 0.3), "beta"), (ModelSpec(4, 3, 1.3, 0.0), "h"),
+    ], ids=["regular-h", "regular-beta", "curve-slice-beta", "axis-slice-h"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_the_per_parameter_calls(self, spec, param, method):
+        data = draw_magnetizations(spec, self.N, 1, 5)[0]
+        est, cs = inference.confidence_set(spec, data, self.N, 0.05, param, method)
+        want_est, want = self._direct(spec, data, self.N, param, method)
+        assert est == want_est
+        assert (cs.interval, cs.appended_points, cs.method, cs.level) == (
+            want.interval, want.appended_points, want.method, want.level)
+        assert cs.method == method
+
+    def test_bad_param_or_method(self, fig_regular_spec):
+        data = np.array([0.6, 0.2, 0.2])
+        for param, method in (("gamma", "plain"), ("h", "exact"), ("beta", None)):
+            with pytest.raises(DomainError):
+                inference.confidence_set(fig_regular_spec, data, 100, 0.05, param, method)
+        with pytest.raises(DomainError):
+            two_step_ci(fig_regular_spec, data, 100, 0.05, param="gamma")
+
+    def test_alpha_outside_the_unit_interval(self):
+        # S(1.3) = {0} accepts on this data, where alpha = 0 gave the
+        # singleton at level 1 with no error
+        spec = ModelSpec(4, 3, 1.3, 0.0)
+        data = draw_magnetizations(spec, 500, 1, 5)[0]
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError):
+                two_step_ci(spec, data, 500, alpha, param="h")

@@ -26,6 +26,7 @@ from tensorpotts import (
     gamma1_weight,
     hhat_limit,
     ks_distance,
+    limit_law,
     mixture_weights,
     norm_p_limit,
     quartic_law,
@@ -931,6 +932,50 @@ class TestKsDistance:
         law = NormalLaw(0.0, 1.0)
         xs = law.quantile((np.arange(500) + 0.5) / 500) + 1.0
         assert ks_distance(xs, law) > 0.3
+
+
+class TestLimitLaw:
+    """``limit_law`` gives the law each direct constructor gives, with the
+    name ``limit-check`` prints, at each of the five tags."""
+
+    DIRECTION = np.array([0.157, 0.396, 0.323])
+
+    @staticmethod
+    def _points():
+        sp = compute_special_point(4, 3)
+        from tensorpotts.inference import critical_slice_beta
+
+        return [
+            (ModelSpec(4, 3, sp.beta_tilde, sp.h_tilde), PointTag.SPECIAL_TYPE_I,
+             "quartic T_N limit", lambda spec, pc: quartic_law(spec, point_class=pc)),
+            (ModelSpec(4, 2, 2 / 3, 0.0), PointTag.SPECIAL_TYPE_II,
+             "sextic T_N limit", lambda spec, pc: sextic_law(0.0)),
+            (ModelSpec(4, 3, 0.616, 0.67), PointTag.REGULAR, "projected Gaussian limit",
+             lambda spec, pc: gaussian_limit_regular(spec, point_class=pc)),
+            (ModelSpec(4, 3, critical_slice_beta(4, 3, 0.2)[0], 0.2),
+             PointTag.STRONGLY_CRITICAL, "projected Gaussian-mixture limit",
+             lambda spec, pc: critical_mixture_law(spec, point_class=pc)),
+            (ModelSpec(4, 3, 1.3, 0.0), PointTag.WEAKLY_CRITICAL,
+             "projected Gaussian-mixture limit",
+             lambda spec, pc: critical_mixture_law(spec, point_class=pc)),
+        ]
+
+    def test_matches_the_direct_constructors(self):
+        for spec, tag, name, build in self._points():
+            pc = classify_point(spec)
+            assert pc.tag is tag
+            direct = build(spec, pc)
+            if tag in (PointTag.SPECIAL_TYPE_I, PointTag.SPECIAL_TYPE_II):
+                # T_N needs no direction
+                assert limit_law(spec, pc)[1] == name
+            else:
+                direct = direct.project(self.DIRECTION[:spec.q])
+                assert limit_law(spec, pc) == (None, None)
+            law, got_name = limit_law(spec, pc, self.DIRECTION[:spec.q])
+            assert got_name == name
+            assert type(law) is type(direct)
+            x = np.linspace(-4.0, 4.0, 41)
+            assert np.array_equal(law.cdf(x), direct.cdf(x))
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ classification tolerances sized to that rounding.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestClassification:
                      lambda: phase_diagram(4, 3, (0.5, 1.0), (0.0, 0.5), 2, tol_class=0.0)):
             with pytest.raises(DomainError):
                 call()
+        # and finite: nan and inf gave wrong tags or raw errors
+        for bad in (math.nan, math.inf):
+            for call in (lambda: classify_point(spec, tol_class=bad),
+                         lambda: classify_point(spec, tie_tol=bad),
+                         lambda: global_maximizers_1d(spec, tie_tol=bad),
+                         lambda: phase_diagram(4, 3, (0.5, 1.0), (0.0, 1.0), 3, tol_class=bad)):
+                with pytest.raises(DomainError):
+                    call()
 
     def test_json_dict(self):
         d = classify_point(ModelSpec(4, 3, 0.616, 0.67)).to_json_dict()
