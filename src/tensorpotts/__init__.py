@@ -12,8 +12,8 @@ import importlib
 
 _EXPORTS = {
     "model": (
-        "ModelSpec", "f_deriv", "k_deriv", "negative_free_energy", "quadratic_form", "s_of_x",
-        "sigma_matrix", "u_vector", "x_of_s"),
+        "ModelSpec", "curvature_variance", "f_deriv", "k_deriv", "negative_free_energy",
+        "quadratic_form", "s_of_x", "sigma_matrix", "u_vector", "x_of_s"),
     "phase": (
         "CriticalCurveSample", "MaximizerSet", "PointClass", "PointTag", "SpecialPoint",
         "StationaryPoint", "classify_point", "compute_beta_c", "compute_special_point",

@@ -292,8 +292,8 @@ def tail_prob(spec: ModelSpec, N: int, eps: float, maximizers=None) -> float:
     over the orbit rows; a ``maximizers`` set that is not closed raises
     DomainError.  The float64 log-weight and the far flag keep 9 bytes per orbit.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
     if maximizers is None:
         from .phase import full_maximizer_set
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError, PreconditionError
 from .exact import BProfile, HProfile
-from .model import BOUNDARY_DELTA, ModelSpec, as_prob_vector, f_deriv
+from .model import BOUNDARY_DELTA, ModelSpec, as_prob_vector, curvature_variance
 from .phase import (
     SCALE_EXPONENTS,
     PointTag,
@@ -293,18 +293,18 @@ def _estimation_result(observed, root, iters, bracket, converged, boundary,
                             boundary=boundary, residual=residual)
 
 
-def _plugin_curvature(spec: ModelSpec, beta_slot: float, data_x: np.ndarray) -> float:
-    """-f''_{beta,0} at the plug-in s = 1 - q * xbar_q (f'' is h-free)."""
+def _plugin_variance(spec: ModelSpec, beta_slot: float, data_x: np.ndarray) -> float:
+    """``curvature_variance`` at beta_slot and the plug-in s = 1 - q * xbar_q."""
     s_plug = 1.0 - spec.q * float(data_x[-1])
     if not (0.0 <= s_plug <= 1.0 - BOUNDARY_DELTA):
         raise DegenerateIntervalError(
             f"plug-in s = {s_plug} outside [0, 1): the sample's last coordinate "
             "is too extreme for the plug-in interval")
-    f2 = f_deriv(spec.with_params(beta=beta_slot, h=0.0), s_plug, 2)
-    if f2 >= 0:
+    v = curvature_variance(spec.with_params(beta=beta_slot), s_plug)
+    if not v > 0:
         raise DegenerateIntervalError(
-            f"plug-in f'' = {f2} >= 0: data is near-critical, interval degenerate")
-    return -f2
+            f"plug-in f'' >= 0 (variance {v}): data is near-critical, interval degenerate")
+    return v
 
 
 def _z_quantile(alpha: float) -> float:
@@ -314,32 +314,28 @@ def _z_quantile(alpha: float) -> float:
 
 
 def ci_h(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
-         estimate: EstimationResult | None = None,
-         profile: HProfile | None = None) -> ConfidenceSet:
+         estimate: EstimationResult | None = None) -> ConfidenceSet:
     """Plain plug-in interval for h at known beta.
 
-    hhat +/- (q/(q-1)) sqrt(-f''_{beta,0}(1 - q xbar_q)/N) z_{1-alpha/2}.
+    hhat +/- sqrt(v/N) z_{1-alpha/2}, v the plug-in ``curvature_variance``.
     """
     if not (0 < alpha < 1):
         raise DomainError("alpha must be in (0, 1)")
     data_x = as_prob_vector(data_x, spec.q)
     if estimate is None:
-        estimate = mle_h(spec, float(data_x[0]), N, profile=profile)
-    q = spec.q
-    curv = _plugin_curvature(spec, spec.beta, data_x)
-    z = _z_quantile(alpha)
-    half = (q / (q - 1.0)) * math.sqrt(curv / N) * z
+        estimate = mle_h(spec, float(data_x[0]), N)
+    v = _plugin_variance(spec, spec.beta, data_x)
+    half = math.sqrt(v / N) * _z_quantile(alpha)
     return ConfidenceSet(interval=(estimate.estimate - half, estimate.estimate + half),
                          level=1.0 - alpha, method="plain")
 
 
 def ci_beta(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
-            estimate: EstimationResult | None = None,
-            profile: BProfile | None = None) -> ConfidenceSet:
+            estimate: EstimationResult | None = None) -> ConfidenceSet:
     """Plain plug-in interval for beta at known h != 0.
 
-    betahat +/- q sqrt(-f''_{betahat,0}(1 - q xbar_q)/N)
-              / (p (q-1) (xbar_1^{p-1} - xbar_2^{p-1})) z_{1-alpha/2}.
+    betahat +/- sqrt(v/N) / (p |xbar_1^{p-1} - xbar_2^{p-1}|) z_{1-alpha/2},
+    v the plug-in ``curvature_variance`` at betahat.
     """
     if not (0 < alpha < 1):
         raise DomainError("alpha must be in (0, 1)")
@@ -347,16 +343,14 @@ def ci_beta(spec: ModelSpec, data_x, N: int, alpha: float = 0.05,
         raise PreconditionError("the beta interval requires h != 0")
     data_x = as_prob_vector(data_x, spec.q)
     if estimate is None:
-        observed = float(np.sum(data_x ** spec.p))
-        estimate = mle_beta(spec, observed, N, profile=profile)
+        estimate = mle_beta(spec, float(np.sum(data_x ** spec.p)), N)
     q, p = spec.q, spec.p
-    denom = p * (q - 1.0) * float(data_x[0] ** (p - 1) - data_x[1] ** (p - 1))
-    if abs(denom) < 1e-9:
+    gap = abs(float(data_x[0] ** (p - 1) - data_x[1] ** (p - 1)))
+    if p * (q - 1.0) * gap < 1e-9:
         raise DegenerateIntervalError(
-            "xbar_1^{p-1} - xbar_2^{p-1} is below 1e-9; interval degenerate")
-    curv = _plugin_curvature(spec, estimate.estimate, data_x)
-    z = _z_quantile(alpha)
-    half = q * math.sqrt(curv / N) / denom * z
+            "p (q-1) |xbar_1^{p-1} - xbar_2^{p-1}| is below 1e-9; interval degenerate")
+    v = _plugin_variance(spec, estimate.estimate, data_x)
+    half = math.sqrt(v / N) / (p * gap) * _z_quantile(alpha)
     return ConfidenceSet(interval=(estimate.estimate - half, estimate.estimate + half),
                          level=1.0 - alpha, method="plain")
 
@@ -367,8 +361,10 @@ def critical_slice_h(p: int, q: int, beta: float) -> list:
     At most one point: h = 0 for beta >= beta_c, the curve height phi^{-1}(beta)
     for beta_tilde <= beta < beta_c, nothing below beta_tilde.  The curve
     height comes from Newton continuation in beta from (beta_c, 0), which
-    returns that start, h = 0, for beta >= beta_c.
+    returns that start, h = 0, for beta >= beta_c; a non-finite beta raises.
     """
+    if not np.isfinite(beta):
+        raise DomainError(f"S(beta) is defined for finite beta, got {beta}")
     special = compute_special_point(p, q)
     if special.h_tilde <= 0:
         # continuous transition: the special point is (beta_c, 0)
@@ -383,12 +379,12 @@ def critical_slice_h(p: int, q: int, beta: float) -> list:
 def critical_slice_beta(p: int, q: int, h: float,
                         beta_c: float | None = None,
                         special: SpecialPoint | None = None) -> list:
-    """T(h) for h != 0: the beta with (beta, h) in the critical-set closure,
+    """T(h) for finite h != 0: the beta with (beta, h) in the critical-set closure,
     by Newton continuation in h from (beta_c, 0).  ``special`` saves the
     special-point solve when the caller has it; ``beta_c`` is not read, and
     stays only because ``bench/critical.py`` passes it."""
-    if h == 0.0:
-        raise DomainError("T(h) is defined for h != 0")
+    if h == 0.0 or not np.isfinite(h):
+        raise DomainError(f"T(h) is defined for finite h != 0, got {h}")
     if special is None:
         special = compute_special_point(p, q)
     if special.h_tilde <= 0 or h > special.h_tilde + 1e-12:

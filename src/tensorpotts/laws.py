@@ -37,7 +37,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ClassificationError, DomainError
-from .model import ModelSpec, f_deriv, k_deriv, sigma_matrix, sigma_ratio, u_vector, x_of_s
+from .model import (
+    ModelSpec, curvature_variance, f_deriv, k_deriv, sigma_matrix, sigma_ratio, u_vector, x_of_s)
 from .phase import PointClass, PointTag, classify_point
 from .tables import write_table
 
@@ -857,11 +858,20 @@ def _weight_of_uniform(spec: ModelSpec, point_class: PointClass) -> float:
     raise ClassificationError("no uniform maximizer in the witness set")
 
 
+def _half_normal_mixture(neg, pos, atom: float) -> MixtureLaw:
+    """Two half-normals plus an atom at 0, the critical limit of an ML
+    estimate: ``neg`` and ``pos`` are the (weight, variance) of the halves
+    below and above 0, ``atom`` the mass at 0."""
+    return MixtureLaw(components=[(neg[0], HalfNormalLaw(-1, neg[1])),
+                                  (pos[0], HalfNormalLaw(+1, pos[1]))],
+                      atoms=[Atom(0.0, atom)])
+
+
 def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> ScalarLaw:
     """Limiting law of the rescaled ML field estimate, per phase class.
 
-    Regular: N(0, -q^2/(q-1)^2 f''(s)).  Special: the composed laws G1/G2.
-    Critical: half-normal mixtures with an atom at zero.
+    Regular: N(0, v), v = ``curvature_variance``.  Special: the composed
+    laws G1/G2.  Critical: half-normal mixtures with an atom at zero.
     """
     if point_class is None:
         point_class = classify_point(spec)
@@ -869,8 +879,7 @@ def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> Scalar
     tag = point_class.tag
 
     if tag is PointTag.REGULAR:
-        s = point_class.witness.s_values[0]
-        return NormalLaw(0.0, -(q * q / (q - 1.0) ** 2) * f_deriv(spec, s, 2))
+        return NormalLaw(0.0, curvature_variance(spec, point_class.witness.s_values[0]))
 
     if tag is PointTag.SPECIAL_TYPE_I:
         outer = quartic_law(spec, 0.0, 0.0, point_class)
@@ -880,44 +889,40 @@ def hhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> Scalar
     if tag is PointTag.SPECIAL_TYPE_II:
         return ComposedLaw("G2", sextic_law(0.0), lambda t: _tilted_means(SEXTIC_COEF, 6, -t))
 
-    def var_plain(s):
-        return -(q * q / (q - 1.0) ** 2) * f_deriv(spec, s, 2)
-
     def var_corrected(s):
+        # 1/Sigma_rr, r >= 2
         rho = sigma_ratio(spec, s)
-        return -(q * q) * f_deriv(spec, s, 2) / ((q - 1.0) * (1.0 + (q - 2.0) * rho))
+        return curvature_variance(spec, s) * (q - 1.0) / (1.0 + (q - 2.0) * rho)
 
     if tag is PointTag.WEAKLY_CRITICAL:
         s = point_class.witness.s_values[0]
         p_q = 1.0 / q  # permutation symmetry at h = 0
-        return MixtureLaw(
-            components=[((1.0 - p_q) / 2.0, HalfNormalLaw(-1, var_corrected(s))),
-                        (p_q / 2.0, HalfNormalLaw(+1, var_plain(s)))],
-            atoms=[Atom(0.0, 0.5)])
+        return _half_normal_mixture(((1.0 - p_q) / 2.0, var_corrected(s)),
+                                    (p_q / 2.0, curvature_variance(spec, s)), 0.5)
 
     # strongly critical
     if _is_axis_transition(spec, point_class):
         s = max(point_class.witness.s_values)
         p_q = _weight_of_uniform(spec, point_class)
-        return MixtureLaw(
-            components=[((1.0 - p_q) * (q - 1.0) / (2.0 * q), HalfNormalLaw(-1, var_corrected(s))),
-                        ((1.0 - p_q) / (2.0 * q), HalfNormalLaw(+1, var_plain(s)))],
-            atoms=[Atom(0.0, (1.0 + p_q) / 2.0)])
+        return _half_normal_mixture(((1.0 - p_q) * (q - 1.0) / (2.0 * q), var_corrected(s)),
+                                    ((1.0 - p_q) / (2.0 * q), curvature_variance(spec, s)),
+                                    (1.0 + p_q) / 2.0)
 
     s1, s2 = point_class.witness.s_values
     weights = mixture_weights(spec, point_class)
     # maximizers in ascending order of first coordinates: x_{s1} before x_{s2}
     p1 = float(weights[0])
-    return MixtureLaw(
-        components=[(p1 / 2.0, HalfNormalLaw(-1, var_plain(s1))),
-                    ((1.0 - p1) / 2.0, HalfNormalLaw(+1, var_plain(s2)))],
-        atoms=[Atom(0.0, 0.5)])
+    return _half_normal_mixture((p1 / 2.0, curvature_variance(spec, s1)),
+                                ((1.0 - p1) / 2.0, curvature_variance(spec, s2)), 0.5)
 
 
-def _beta_variance(spec: ModelSpec, s: float, m: np.ndarray) -> float:
-    q, p = spec.q, spec.p
-    gap = float(np.max(m) ** (p - 1) - np.min(m) ** (p - 1))
-    return -(q * q) * f_deriv(spec, s, 2) / (p * p * (q - 1.0) ** 2) / gap ** 2
+def _beta_variance(spec: ModelSpec, s: float) -> float:
+    """v / (p gap)^2, gap = x_1^{p-1} - x_2^{p-1} at x = x_s: the limit
+    variance of sqrt(N) (betahat - beta) at the maximizer x_s."""
+    p = spec.p
+    m = x_of_s(spec.q, s)
+    gap = float(m[0] ** (p - 1) - m[1] ** (p - 1))
+    return curvature_variance(spec, s) / (p * gap) ** 2
 
 
 def gamma1_weight(spec: ModelSpec) -> float:
@@ -957,12 +962,11 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> Scalar
     q, p = spec.q, spec.p
     tag = point_class.tag
 
-    if tag is PointTag.REGULAR:
-        s = point_class.witness.s_values[0]
-        if spec.h > 0:
-            m = point_class.witness.vectors[0]
-            return NormalLaw(0.0, _beta_variance(spec, s, m))
+    if tag is PointTag.REGULAR and spec.h == 0.0:
         return _escape_law("gamma1", gamma1_weight(spec))
+
+    if tag in (PointTag.REGULAR, PointTag.WEAKLY_CRITICAL):
+        return NormalLaw(0.0, _beta_variance(spec, point_class.witness.s_values[0]))
 
     if tag is PointTag.SPECIAL_TYPE_I:
         outer = quartic_law(spec, 0.0, 0.0, point_class)
@@ -974,19 +978,13 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> Scalar
     if tag is PointTag.SPECIAL_TYPE_II:
         return _escape_law("gamma2", _central_mass(sextic_law(0.0)))
 
-    if tag is PointTag.WEAKLY_CRITICAL:
-        s = point_class.witness.s_values[0]
-        m = x_of_s(q, s)
-        return NormalLaw(0.0, _beta_variance(spec, s, m))
-
     # strongly critical, maximizers in ascending order of L^p norms
     if _is_axis_transition(spec, point_class):
         s = max(point_class.witness.s_values)
-        m = x_of_s(q, s)
         p1 = _weight_of_uniform(spec, point_class)
         gamma = gamma1_weight(spec)
         law = MixtureLaw(
-            components=[((1.0 - p1) / 2.0, HalfNormalLaw(+1, _beta_variance(spec, s, m)))],
+            components=[((1.0 - p1) / 2.0, HalfNormalLaw(+1, _beta_variance(spec, s)))],
             atoms=[Atom(0.0, (1.0 + p1) / 2.0 - p1 * gamma)],
             neg_inf_mass=p1 * gamma)
         law.gamma1 = gamma
@@ -995,11 +993,8 @@ def bhat_limit(spec: ModelSpec, point_class: PointClass | None = None) -> Scalar
     s1, s2 = point_class.witness.s_values
     weights = mixture_weights(spec, point_class)
     p1 = float(weights[0])  # lower L^p norm = lower s
-    m1, m2 = x_of_s(q, s1), x_of_s(q, s2)
-    return MixtureLaw(
-        components=[(p1 / 2.0, HalfNormalLaw(-1, _beta_variance(spec, s1, m1))),
-                    ((1.0 - p1) / 2.0, HalfNormalLaw(+1, _beta_variance(spec, s2, m2)))],
-        atoms=[Atom(0.0, 0.5)])
+    return _half_normal_mixture((p1 / 2.0, _beta_variance(spec, s1)),
+                                ((1.0 - p1) / 2.0, _beta_variance(spec, s2)), 0.5)
 
 
 def norm_p_limit(spec: ModelSpec, point_class: PointClass | None = None,
@@ -1020,9 +1015,8 @@ def norm_p_limit(spec: ModelSpec, point_class: PointClass | None = None,
         # at critical points this is the law conditioned on the top basin
         s = max(point_class.witness.s_values)
         if s > 1e-9:
-            m = x_of_s(q, s)
-            gap = float(np.max(m) ** (p - 1) - np.min(m) ** (p - 1))
-            variance = -(p * p * (q - 1.0) ** 2 / (q * q)) * gap ** 2 / f_deriv(spec, s, 2)
+            # (p gap)^2 / v, the inverse of the beta estimate's variance
+            variance = 1.0 / _beta_variance(spec, s)
             return NormalLaw(beta_bar * variance, variance)
         a = -1.0 / k_deriv(spec, 1.0 / q, 2)
         c = p * (p - 1.0) * a / (2.0 * q ** (p - 2))

@@ -240,18 +240,26 @@ def sigma_ratio(spec: ModelSpec, s: float) -> float:
     return k_deriv(spec, (1.0 + (q - 1.0) * s) / q, 2) / k_deriv(spec, (1.0 - s) / q, 2)
 
 
+def curvature_variance(spec: ModelSpec, s: float) -> float:
+    """v = -(q/(q-1))^2 f''(s) = 1/Sigma_11, the limit variance of
+    sqrt(N) (hhat - h) at a maximizer x_s; every ML-estimator variance
+    rescales it.  Positive exactly where f''(s) < 0, which callers check."""
+    q = spec.q
+    return -(q * q / (q - 1.0) ** 2) * f_deriv(spec, s, 2)
+
+
 def sigma_matrix(spec: ModelSpec, s: float) -> np.ndarray:
     """Limiting covariance of sqrt(N) * (Xbar - x_s) at a point with f''(s) < 0.
 
-    Prefactor (-q^2/(q-1) * f''(s))^(-1) times the patterned matrix with first
-    row/column (q-1, -1, ..., -1) and lower block (1+(q-2)rho) on the diagonal,
-    -rho off it.  Rows sum to zero (the law lives on the simplex); the matrix
-    is PSD of rank q-1.
+    Prefactor 1/((q-1) v), v = ``curvature_variance``, times the patterned
+    matrix with first row/column (q-1, -1, ..., -1) and lower block
+    (1+(q-2)rho) on the diagonal, -rho off it.  Rows sum to zero (the law
+    lives on the simplex); the matrix is PSD of rank q-1.
     """
-    f2 = f_deriv(spec, s, 2)
-    if f2 >= 0:
+    v = curvature_variance(spec, s)
+    if not v > 0:
         raise ClassificationError(
-            f"sigma_matrix requires f''(s) < 0 (regular/critical maximizer); got {f2}")
+            f"sigma_matrix requires f''(s) < 0 (regular/critical maximizer); variance {v}")
     q = spec.q
     rho = sigma_ratio(spec, s)
     m = np.full((q, q), -rho)
@@ -260,5 +268,4 @@ def sigma_matrix(spec: ModelSpec, s: float) -> np.ndarray:
     m[0, 0] = q - 1.0
     idx = np.arange(1, q)
     m[idx, idx] = 1.0 + (q - 2.0) * rho
-    pref = 1.0 / (-(q * q / (q - 1.0)) * f2)
-    return pref * m
+    return m / ((q - 1.0) * v)

@@ -604,8 +604,8 @@ def trace_critical_curve(p: int, q: int, param: str, values) -> list:
     predictor through the last two accepted points, the Newton corrector
     ``_tie_newton`` and the ``_beaten`` certificate.  When the corrector or
     the certificate fails, the step is halved.  Callers keep h in
-    [0, h_tilde) or beta above beta_tilde; a beta at or above beta_c (within
-    1e-12) gives the h = 0 tie itself.
+    [0, h_tilde) or beta above beta_tilde (a nan or inf raises DomainError);
+    a beta at or above beta_c (within 1e-12) gives the h = 0 tie itself.
     """
     if param not in ("h", "beta"):
         raise DomainError(f"param must be 'h' or 'beta', got {param!r}")
@@ -621,6 +621,8 @@ def trace_critical_curve(p: int, q: int, param: str, values) -> list:
     out = []
     for target in values:
         lam = target = float(target)
+        if not np.isfinite(target):  # step halving would never reach it
+            raise DomainError(f"curve targets must be finite, got {param} = {target}")
         if param == "beta" and target >= axis.beta - 1e-12:
             out.append(axis)
             continue

@@ -283,6 +283,11 @@ class TestTailProb:
     def test_large_eps_zero(self, fig_regular_spec):
         assert tail_prob(fig_regular_spec, 50, 3.0) == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_eps_not_positive_raises(self, fig_regular_spec, eps):
+        with pytest.raises(DomainError):
+            tail_prob(fig_regular_spec, 50, eps)
+
     def test_log_slope_roughly_constant(self, fig_regular_spec):
         rates = [math.log(tail_prob(fig_regular_spec, N, 0.1)) / N for N in (200, 400)]
         assert all(r < 0 for r in rates)

@@ -435,15 +435,19 @@ class TestPlainIntervals:
         assert widths[1000] / widths[4000] == pytest.approx(2.0, rel=0.10)
 
     def test_ci_beta_formula(self):
-        spec = ModelSpec(4, 2, 0.7, 0.4)
-        N = 150
-        data = exact_sample(magnetization_law(spec, N), 1, seed=43)[0]
-        est = mle_beta(spec, float(np.sum(data ** 4)), N)
-        cs = ci_beta(spec, data, N, 0.05, estimate=est)
-        denom = 4 * 1 * (data[0] ** 3 - data[1] ** 3)
-        curv = -f_deriv(spec.with_params(beta=est.estimate, h=0.0), 1 - 2 * data[1], 2)
-        half = 2 * math.sqrt(curv / N) / denom * ndtri(0.975)
-        assert cs.width() == pytest.approx(2 * half, rel=1e-12)
+        spec, N = ModelSpec(4, 2, 0.7, 0.4), 150
+        cases = [(spec, N, exact_sample(magnetization_law(spec, N), 1, seed=43)[0]),
+                 # colour 2 leads: xbar_1^{p-1} - xbar_2^{p-1} is negative
+                 (ModelSpec(4, 3, 0.616, 0.05), 1000, np.array([0.30, 0.40, 0.30]))]
+        for spec, N, data in cases:
+            p, q = spec.p, spec.q
+            est = mle_beta(spec, float(np.sum(data ** p)), N)
+            lo, hi = ci_beta(spec, data, N, 0.05, estimate=est).interval
+            assert lo <= est.estimate <= hi
+            denom = p * (q - 1) * abs(data[0] ** (p - 1) - data[1] ** (p - 1))
+            curv = -f_deriv(spec.with_params(beta=est.estimate, h=0.0), 1 - q * data[-1], 2)
+            half = q * math.sqrt(curv / N) / denom * ndtri(0.975)
+            assert hi - lo == pytest.approx(2 * half, rel=1e-12)
 
     def test_ci_beta_requires_field(self):
         spec = ModelSpec(4, 2, 0.7, 0.0)
@@ -489,6 +493,14 @@ class TestCriticalSlices:
 
     def test_beta_slice_q2_empty(self):
         assert critical_slice_beta(4, 2, 0.3) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p,q", [(4, 3), (4, 2)])
+    def test_non_finite_slice_inputs_raise(self, p, q, value):
+        # a nan reaching the curve continuation would halve its step forever
+        for slice_fn in (critical_slice_h, critical_slice_beta):
+            with pytest.raises(DomainError):
+                slice_fn(p, q, value)
 
     def test_slice_point_is_critical(self):
         from tensorpotts import PointTag, classify_point

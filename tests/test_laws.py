@@ -383,6 +383,61 @@ class TestEstimatorLimits:
         assert vals[0] < 0.02 and vals[-1] > 0.98
 
 
+def _variance_point(p: int, q: int, kind: str) -> ModelSpec:
+    special = compute_special_point(p, q)
+    if kind == "regular":
+        return ModelSpec(p, q, special.beta_tilde, special.h_tilde + 0.1)
+    if kind == "strongly-critical":
+        from tensorpotts.inference import critical_slice_beta
+
+        h = 0.5 * special.h_tilde
+        return ModelSpec(p, q, critical_slice_beta(p, q, h)[0], h)
+    beta_c = compute_beta_c(p, q)
+    return ModelSpec(p, q, 1.3 * beta_c if kind == "weakly-critical" else beta_c, 0.0)
+
+
+def _pnorm_variance(spec: ModelSpec, s: float) -> float:
+    """p^2 v' Sigma v with v = x_s^{p-1}: the limit variance of the p-norm
+    statistic, from the simplex covariance."""
+    v = x_of_s(spec.q, s) ** (spec.p - 1)
+    return spec.p ** 2 * float(v @ sigma_matrix(spec, s) @ v)
+
+
+def _gaussian_variances(law) -> list:
+    """The variance of a Normal law, or those of a mixture's half-normals."""
+    if isinstance(law, NormalLaw):
+        return [law.var()]
+    return [comp.variance for _, comp in law.components]
+
+
+@pytest.mark.parametrize("kind,tag", [("regular", PointTag.REGULAR),
+                                      ("weakly-critical", PointTag.WEAKLY_CRITICAL),
+                                      ("strongly-critical", PointTag.STRONGLY_CRITICAL),
+                                      ("axis", PointTag.STRONGLY_CRITICAL)])
+@pytest.mark.parametrize("p,q", [(4, 3), (7, 5), (3, 4)])
+def test_estimator_variances_match_sigma_matrix(p, q, kind, tag):
+    # the estimator limits against the simplex covariance they derive from:
+    # the field estimate's variances are 1/Sigma_11 (colour 1 leads) and
+    # 1/Sigma_rr (another colour leads), the beta estimate's 1/(p^2 v'Sigma v)
+    spec = _variance_point(p, q, kind)
+    pc = classify_point(spec)
+    assert pc.tag is tag
+    s_values = pc.witness.s_values
+    top = max(s_values)
+    sigma = {s: sigma_matrix(spec, s) for s in s_values}
+    if kind == "strongly-critical":
+        want_h = [1.0 / sigma[s][0, 0] for s in s_values]
+        want_b = [1.0 / _pnorm_variance(spec, s) for s in s_values]
+    else:
+        want_h = [1.0 / sigma[top][0, 0]]
+        if kind != "regular":
+            want_h.insert(0, 1.0 / sigma[top][1, 1])
+        want_b = [1.0 / _pnorm_variance(spec, top)]
+    assert _gaussian_variances(hhat_limit(spec, pc)) == pytest.approx(want_h, rel=1e-12)
+    assert _gaussian_variances(bhat_limit(spec, pc)) == pytest.approx(want_b, rel=1e-12)
+    assert norm_p_limit(spec, pc).var() == pytest.approx(_pnorm_variance(spec, top), rel=1e-12)
+
+
 def _symmetric_grid_law(coef_high, degree, c):
     """Reference law: GRID_POINTS nodes on [-R, R], R where the plain exponent
     falls |TAIL_LOG_EPS| below its mode value (12 fixed-point steps); an

@@ -574,3 +574,10 @@ class TestContinuationInvariants:
         # TIE_TOL; a claimed tie that skips it must be rejected
         fake = CriticalCurveSample(h=0.2, beta=c.beta + 0.05, s_low=c.s_low, s_high=c.s_low + 0.01)
         assert _beaten(fake, 4, 3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("param", ["h", "beta"])
+    def test_non_finite_targets_raise(self, param, value):
+        # halving the step toward a nan target would never reach it
+        with pytest.raises(DomainError):
+            trace_critical_curve(4, 3, param, [{"h": 0.2, "beta": 1.0}[param], value])
