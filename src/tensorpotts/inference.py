@@ -361,10 +361,10 @@ def critical_slice_h(p: int, q: int, beta: float) -> list:
     At most one point: h = 0 for beta >= beta_c, the curve height phi^{-1}(beta)
     for beta_tilde <= beta < beta_c, nothing below beta_tilde.  The curve
     height comes from Newton continuation in beta from (beta_c, 0), which
-    returns that start, h = 0, for beta >= beta_c; a non-finite beta raises.
+    returns that start, h = 0, for beta >= beta_c; beta outside [0, inf) raises.
     """
-    if not np.isfinite(beta):
-        raise DomainError(f"S(beta) is defined for finite beta, got {beta}")
+    if not 0.0 <= beta < np.inf:
+        raise DomainError(f"S(beta) is defined for finite beta >= 0, got {beta}")
     special = compute_special_point(p, q)
     if special.h_tilde <= 0:
         # continuous transition: the special point is (beta_c, 0)
@@ -379,12 +379,12 @@ def critical_slice_h(p: int, q: int, beta: float) -> list:
 def critical_slice_beta(p: int, q: int, h: float,
                         beta_c: float | None = None,
                         special: SpecialPoint | None = None) -> list:
-    """T(h) for finite h != 0: the beta with (beta, h) in the critical-set closure,
+    """T(h) for finite h > 0: the beta with (beta, h) in the critical-set closure,
     by Newton continuation in h from (beta_c, 0).  ``special`` saves the
     special-point solve when the caller has it; ``beta_c`` is not read, and
     stays only because ``bench/critical.py`` passes it."""
-    if h == 0.0 or not np.isfinite(h):
-        raise DomainError(f"T(h) is defined for finite h != 0, got {h}")
+    if not 0.0 < h < np.inf:
+        raise DomainError(f"T(h) is defined for finite h > 0, got {h}")
     if special is None:
         special = compute_special_point(p, q)
     if special.h_tilde <= 0 or h > special.h_tilde + 1e-12:

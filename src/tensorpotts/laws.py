@@ -234,7 +234,7 @@ class NormalLaw(ScalarLaw):
     kind = "Normal"
 
     def __init__(self, mu: float, variance: float):
-        if variance <= 0:
+        if not variance > 0:  # nan fails too
             raise DomainError(f"normal variance must be positive, got {variance}")
         self.mu = float(mu)
         self.variance = float(variance)
@@ -263,8 +263,8 @@ class HalfNormalLaw(ScalarLaw):
     def __init__(self, sign: int, variance: float):
         if sign not in (-1, 1):
             raise DomainError("sign must be +1 or -1")
-        if variance <= 0:
-            raise DomainError("variance must be positive")
+        if not variance > 0:
+            raise DomainError(f"half-normal variance must be positive, got {variance}")
         self.sign = sign
         self.variance = float(variance)
         self.sigma = math.sqrt(variance)

@@ -13,17 +13,20 @@ II), and computes the landmark objects of the phase diagram:
 * the strongly-critical curve ``beta = phi(h)`` joining ``(beta_c, 0)`` to the
   special point, on which two distinct maximizers tie.
 
-Classification rests on one stationary-point scan, ``_stationary_column``:
-f' on a uniform grid, a refinement pass in each sign-change cell, and a
-polished root per bracket.  f' depends on h only through the constant
-h (q-1)/q, so one scan of f'_{beta,0} serves a whole beta column:
-``phase_diagram`` runs it once per beta for all its h values, and
-``classify_point`` runs it with one h.  Both give a point the same roots.
+Classification rests on two identities along the ray (a, b its coordinates):
+f' = (q-1)/q (h - H_beta(s)) and f'' = (q-1)/(q^2 a b) (beta R(s) - 1), with R
+a polynomial free of beta and h that rises to at most one interior peak s_c
+and then falls.  So H_beta turns where beta R = 1 at most twice, and each of
+its monotone branches holds at most one root of f' for a given h: one
+safeguarded Newton solve, a maximum of f on a rising branch.
+``_stationary_column`` finds the branches once per beta and solves them for
+every h; ``phase_diagram`` calls it per beta column and ``classify_point``
+with one h, so both give a point the same roots.
 
-The landmarks solve small square systems by Newton's method with closed-form
-derivatives, each seeded and certified by one vectorised scan; the curve and
-its slices follow the tie system by natural-parameter continuation (secant
-predictor, Newton corrector, step halving, a grid certificate per sample).
+The special point is closed-form at the peak of R.  beta_c solves the h = 0
+tie by Newton from one vectorised scan; the curve and its slices follow the
+tie system by natural-parameter continuation (secant predictor, Newton
+corrector, step halving, a grid certificate per sample).
 
 The classification taxonomy:
 
@@ -38,7 +41,10 @@ The classification taxonomy:
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,22 +56,12 @@ from .model import (
     ModelSpec,
     f_beta_deriv,
     f_deriv,
-    k_deriv,
     x_of_s,
 )
 from .tables import write_table
 
-# Default resolution of the f' sign-change scan; f' has at most three roots,
-# so a coarse grid with one refinement pass near sign changes is safe.
-SCAN_CELLS = 4096
-REFINE_FACTOR = 16
-_SCAN_GRID = np.linspace(0.0, 1.0 - BOUNDARY_DELTA, SCAN_CELLS + 1)
-
-# Stationarity residual targeted by the polisher and required of Newton ties.
+# Stationarity residual required of Newton ties.
 STATIONARY_TOL = 1e-12
-
-# Cap on the polisher's Newton steps (one f' and one f'' evaluation each).
-POLISH_MAX_STEPS = 20
 
 # Absolute tie tolerance (in f-value) for "equal maxima".
 TIE_TOL = 1e-9
@@ -161,13 +157,10 @@ class PhaseDiagram:
     curve: list = field(default_factory=list)
 
 
-# Sign flips where |g| never rises above this are cancellation noise, not
-# roots (seen at the type-II point, where f' ~ -s^5/5 underflows near 0).
+# A field with h (q-1)/q = f'(0) at or below this counts as h = 0, and s = 0
+# is then an exact root: next to the type-II point f' ~ h/2 - s^5/5 stays at
+# rounding level up to s ~ 0.01, so its exact root there is noise.
 SIGN_NOISE_FLOOR = 1e-13
-
-# The column scan takes its rows in blocks of at most this many grid cells
-# (2 MB per float array), whatever the phase-diagram resolution.
-SCAN_BLOCK_CELLS = 2 ** 18
 
 # Newton on the landmark and tie systems stops once a step is below
 # NEWTON_STEP_TOL (relative to max(1, |x|)), the residuals are at rounding
@@ -177,7 +170,11 @@ NEWTON_MAX_STEPS = 30
 NEWTON_STEP_TOL = 1e-13
 MIN_CONTINUATION_STEP = 1e-9
 
-# The landmark scans and the tie certificate run on 1024 uniform cells plus
+# Cap on the steps of one ``_solve``: Newton needs a few, bisection from
+# [0, 1] to adjacent floats about 55.
+SOLVE_MAX_STEPS = 100
+
+# The tie certificate and the h = 0 tie scan run on 1024 uniform cells plus
 # a geometric tail toward the guard, where the ordered maximizer of large p
 # sits: Newton needs a start within a factor e of the true 1 - s.  The tail
 # holds the guard edge 1 - 1e-9.  np.union1d would import numpy.ma (np.unique).
@@ -185,51 +182,116 @@ _GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025)[:-1
                                 1.0 - np.logspace(-9, -3, 49)]))
 
 
-def _polish_root(spec: ModelSpec, lo: float, hi: float, glo: float) -> float:
-    """Root of f' in the bracket [lo, hi] (f'(lo) = glo): Newton from the
-    midpoint, with the bracket as a safeguard (a step leaving it bisects it),
-    for at most POLISH_MAX_STEPS steps.
+def _ray(q: int, s: float) -> tuple:
+    """The ray coordinates a = (1 + (q-1) s)/q and b = (1 - s)/q of x_s."""
+    return (1.0 + (q - 1.0) * s) / q, (1.0 - s) / q
 
-    When |f'| is already within STATIONARY_TOL on the midpoint of the
-    refined cell, the root is degenerate (f'' = 0 there, as at the special
-    points): f' stays near rounding level over much of the bracket, Newton
-    crawls and its residual test stops it early, so 12 bisection steps on
-    the sign of f' come first.
-    """
-    root = 0.5 * (lo + hi)
-    gr = f_deriv(spec, root, 1)
-    if abs(gr) <= STATIONARY_TOL:
-        for _ in range(12):
-            if gr == 0.0:
-                return float(root)
-            if glo * gr < 0:
-                hi = root
-            else:
-                lo, glo = root, gr
-            root = 0.5 * (lo + hi)
-            gr = f_deriv(spec, root, 1)
-    elif glo * gr < 0:
-        hi = root
-    else:
-        lo, glo = root, gr
-    for _ in range(POLISH_MAX_STEPS):
-        if gr == 0.0:
+
+def _r(p: int, q: int, s: float) -> tuple:
+    """R(s) = p (p-1) a b ((q-1) a^(p-2) + b^(p-2)) and R'(s), a polynomial
+    free of beta and h: f''(s) = (q-1)/(q^2 a b) (beta R(s) - 1)."""
+    a, b = _ray(q, s)
+    c = p * (p - 1.0)
+    return (c * a * b * ((q - 1.0) * a ** (p - 2) + b ** (p - 2)),
+            c / q * ((q - 1.0) * a ** (p - 2) * ((p - 1.0) * (q - 1.0) * b - a)
+                     + b ** (p - 2) * ((q - 1.0) * b - (p - 1.0) * a)))
+
+
+def _big_h(p: int, q: int, beta: float, s: float) -> tuple:
+    """H_beta(s) = log(a/b) - beta p (a^(p-1) - b^(p-1)) and its slope
+    (1 - beta R(s)) / (q a b): f'(s) = (q-1)/q (h - H_beta(s))."""
+    a, b = _ray(q, s)
+    return (math.log(a / b) - beta * p * (a ** (p - 1) - b ** (p - 1)),
+            (1.0 - beta * _r(p, q, s)[0]) / (q * a * b))
+
+
+def _solve(g, lo: float, hi: float, sign: float = 1.0, target: float = 0.0) -> float:
+    """The s in [lo, hi] where g(s) = target, for a g (returning value and
+    slope) that crosses target once, rising (sign 1) or falling (sign -1).
+    Newton from the midpoint; a step that leaves the bracket, or a slope of
+    the wrong sign, bisects it instead.  Stops on an exact hit, a step below
+    one ulp or a bracket of adjacent floats, and returns the evaluated point
+    with the smallest |g - target|."""
+    x = 0.5 * (lo + hi)
+    best = (math.inf, x)
+    for _ in range(SOLVE_MAX_STEPS):
+        v, d = g(x)
+        v, d = sign * (v - target), sign * d
+        best = min(best, (abs(v), x))
+        if v == 0.0:
             break
-        d = f_deriv(spec, root, 2)
-        cand = root - gr / d if d != 0.0 else 0.5 * (lo + hi)
-        if not (lo <= cand <= hi):
-            cand = 0.5 * (lo + hi)
-        if cand == root:
-            break
-        gc = f_deriv(spec, cand, 1)
-        if glo * gc < 0:
-            hi = cand
+        if v < 0.0:
+            lo = x
         else:
-            lo, glo = cand, gc
-        root, gr = cand, gc
-        if abs(gr) <= 1e-14 or hi - lo < 4e-16 * max(1.0, abs(root)):
+            hi = x
+        y = x - v / d if d > 0.0 else math.inf
+        if y == x:
             break
-    return float(root)
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+            if not lo < y < hi:
+                break
+        x = y
+    return best[1]
+
+
+@functools.lru_cache(maxsize=1024)
+def _r_peak(p: int, q: int) -> tuple:
+    """(s_c, floor): the interior critical point of R, its maximum, and the
+    floor on H.
+
+    R'(s) = p (p-1)/q b^(p-1) N(a/b), N(t) = (q-1) - (p-1) t + (q-1) t^(p-2)
+    ((p-1)(q-1) - t), and the coefficients of N(1 + u) change sign once when
+    q >= 3 or p >= 5 and never otherwise (Descartes): one interior critical
+    point, or none (s_c None, R falls from s = 0).  The sign of R' is
+    bisected to adjacent floats.
+
+    An evaluation of H is off by about eps (2 + beta p (p-1) (a^(p-1) +
+    b^(p-1))) from the rounding of a and b; four times that at the peak, with
+    beta = 1/R(peak), is the floor: H moving less over a branch is rounding.
+    """
+    s_c = None
+    if q > 2 or p > 4:
+        s_c = _solve(lambda s: (_r(p, q, s)[1], 0.0), 0.0, 1.0, -1.0)
+    a, b = _ray(q, s_c or 0.0)
+    beta = 1.0 / _r(p, q, s_c or 0.0)[0]
+    return s_c, 4.0 * sys.float_info.epsilon * (2.0 + beta * p * (p - 1.0)
+                                                * (a ** (p - 1) + b ** (p - 1)))
+
+
+def _branches(p: int, q: int, beta: float) -> tuple:
+    """The monotone branches of H_beta on [0, 1 - delta], and s_c when H
+    rises through it with no turning pair around it (else None).
+
+    R rises to its peak (s_c, or s = 0 when it has none) and then falls, so
+    the turning points of H_beta, where beta R = 1, are at most one solve on
+    each side of the peak.  A branch over which H moves by no more than the
+    floor of ``_r_peak`` is dropped: a middle branch takes both its turning
+    points with it (they merge at s_c), an end branch its inner one.  With
+    no turning pair left around s_c (dropped, or beta R(s_c) <= 1) H rises
+    through s_c.  Branches are (lo, hi, H(lo), H(hi)), ascending.
+    """
+    s_c, floor = _r_peak(p, q)
+    peak = s_c or 0.0
+    edge = 1.0 - BOUNDARY_DELTA
+    ends = [0.0]
+    turning = beta * _r(p, q, peak)[0] > 1.0
+    if turning:
+        for lo, hi, sign in ((0.0, peak, 1.0), (peak, edge, -1.0)):
+            if beta * _r(p, q, lo if sign > 0 else hi)[0] < 1.0:
+                ends.append(_solve(functools.partial(_r, p, q), lo, hi, sign, 1.0 / beta))
+    ends.append(edge)
+    hv = [_big_h(p, q, beta, s)[0] for s in ends]
+    merged = s_c is not None and not turning
+    while len(ends) > 2:
+        small = [j for j in range(len(ends) - 1) if abs(hv[j + 1] - hv[j]) <= floor]
+        if not small:
+            break
+        drop = {i for i in (small[0], small[0] + 1) if 0 < i < len(ends) - 1}
+        merged = merged or len(drop) == 2
+        ends = [s for i, s in enumerate(ends) if i not in drop]
+        hv = [v for i, v in enumerate(hv) if i not in drop]
+    return list(zip(ends, ends[1:], hv, hv[1:])), s_c if merged else None
 
 
 def _stationary(spec: ModelSpec) -> list:
@@ -241,79 +303,33 @@ def _stationary(spec: ModelSpec) -> list:
 def _stationary_column(p: int, q: int, beta: float, hs) -> list:
     """The root list of ``_stationary`` at (p, q, beta, h) for every h in ``hs``.
 
-    A uniform sign-change scan of f' with one refinement pass near sign
-    changes, then Newton polishing in each bracket (``_polish_root``).  s = 0 is
-    a root when f'(0) = h (q-1)/q is below the sign-noise floor (always at
-    h = 0).  The flag is read off the scan's f' signs (f' rising through the
-    root), not off f'', so the degenerate maxima at the special points, where
-    f'' = 0, are not mistaken for minima.
-
-    f'_{beta,h} = f'_{beta,0} + h (q-1)/q, so the column scans f'_{beta,0}
-    once and each row adds its constant: the same sum ``f_deriv`` forms for
-    one point, so every scan value has the same bits.  Rows go in blocks of
-    at most SCAN_BLOCK_CELLS grid cells; the flagged cells of a block are
-    refined by one ``f_deriv`` call.
+    f' = (q-1)/q (h - H_beta(s)), so on each monotone branch of H_beta
+    (``_branches``, once per beta) f' has a root exactly when h lies strictly
+    between H at the branch ends, found by ``_solve``.  A root on a rising
+    branch is a local maximum of f, one on a falling branch a local minimum.
+    When h (q-1)/q is at most SIGN_NOISE_FLOOR, h counts as 0 and s = 0 is a
+    root, a minimum when the first branch falls.  Where H rises through s_c
+    with no turning pair around it, an h within the floor of H_beta(s_c) has
+    s_c itself as its root.
     """
-    specs = [ModelSpec(p, q, beta, float(h)) for h in hs]
-    spec0 = ModelSpec(p, q, beta, 0.0)
-    s = _SCAN_GRID
-    base = f_deriv(spec0, s, 1)
-    shifts = np.array([spec.h * (q - 1.0) / q for spec in specs])
-    roots = [[] for _ in specs]
-    n = len(s)
-    rows = max(1, SCAN_BLOCK_CELLS // n)
-    for top in range(0, len(specs), rows):
-        # the block's rows end to end: node j is s[j % n] of row top + j // n
-        shift = shifts[top:top + rows, None]
-        # only f' > 0 and f' == 0 take a pass over the block: the sign,
-        # noise-floor and row-end tests run on the few nodes those leave
-        v = (base + shift).ravel()
-        pos = v > 0
-        for r in np.nonzero(~_loud(v[::n]))[0]:
-            # s = 0 is a minimum when f leaves the noise floor rising
-            row = v[r * n:(r + 1) * n]
-            first = row[np.argmax(_loud(row))]
-            roots[top + r].append((0.0, bool(_loud(first) and first > 0)))
-        # grid nodes where f' lands exactly on 0.0 count only when flanked by
-        # genuinely opposite signs (underflow near flat roots also produces zeros)
-        z = np.nonzero(v == 0.0)[0]
-        z = z[(z % n > 0) & (z % n < n - 1)]
-        if len(z):
-            a, b = v[z - 1], v[z + 1]
-            z = z[(((a > 0) & (b < 0)) | ((a < 0) & (b > 0))) & _loud(a) & _loud(b)]
-            for j in z:
-                roots[top + j // n].append((float(s[j % n]), bool(v[j - 1] < 0)))
-        # a sign change is a change of positivity with a negative end
-        c = np.nonzero(pos[:-1] != pos[1:])[0]
-        a, b = v[c], v[c + 1]
-        c = c[(c % n < n - 1) & ((a < 0) | (b < 0)) & (_loud(a) | _loud(b))]
-        if not len(c):
-            continue
-        cell_r, cell_i = c // n, c % n
-        # refine once: clustered roots near criticality can share a cell
-        ss = np.linspace(s[cell_i], s[cell_i + 1], REFINE_FACTOR + 1).T
-        vv = f_deriv(spec0, ss, 1) + shift[cell_r]
-        sub = ((vv[:, :-1] > 0) & (vv[:, 1:] < 0)) | ((vv[:, :-1] < 0) & (vv[:, 1:] > 0))
-        for k, (r, i) in enumerate(zip(cell_r, cell_i)):
-            brackets = ([(ss[k, j], ss[k, j + 1], vv[k, j]) for j in np.nonzero(sub[k])[0]]
-                        or [(s[i], s[i + 1], v[c[k]])])
-            roots[top + r] += [(_polish_root(specs[top + r], lo, hi, glo), bool(glo < 0))
-                               for lo, hi, glo in brackets]
-    return [_merged(row) for row in roots]
-
-
-def _loud(v):
-    """f' values above the sign-noise floor."""
-    return np.abs(v) > SIGN_NOISE_FLOOR
-
-
-def _merged(roots: list) -> list:
-    """Sorted roots, dropping any within 1e-11 of the one kept before it."""
-    merged = []
-    for root in sorted(roots):
-        if not merged or root[0] - merged[-1][0] >= 1e-11:
-            merged.append(root)
-    return merged
+    branches, s_c = _branches(p, q, beta)
+    floor = _r_peak(p, q)[1]
+    h_c = None if s_c is None else _big_h(p, q, beta, s_c)[0]
+    columns = []
+    for h in hs:
+        h, roots = float(h), []
+        if h * (q - 1.0) / q <= SIGN_NOISE_FLOOR:
+            h = 0.0
+            roots.append((0.0, branches[0][3] < branches[0][2]))
+        for lo, hi, h_lo, h_hi in branches:
+            sign = 1.0 if h_hi > h_lo else -1.0
+            if h_c is not None and lo < s_c < hi and abs(h - h_c) <= floor:
+                roots.append((s_c, False))
+            elif sign * h_lo < sign * h < sign * h_hi:
+                s = _solve(lambda s: _big_h(p, q, beta, s), lo, hi, sign, h)
+                roots.append((s, sign < 0))
+        columns.append(roots)
+    return columns
 
 
 def _point(spec: ModelSpec, s: float) -> StationaryPoint:
@@ -321,7 +337,7 @@ def _point(spec: ModelSpec, s: float) -> StationaryPoint:
 
 
 def find_stationary_points(spec: ModelSpec) -> list:
-    """All roots of f' in [0, 1 - delta] (see ``_stationary``), as polished
+    """All roots of f' in [0, 1 - delta] (see ``_stationary``), as
     StationaryPoints; s = 0 is among them whenever h = 0."""
     return [_point(spec, s) for s, _ in _stationary(spec)]
 
@@ -393,9 +409,9 @@ def classify_point(spec: ModelSpec, tol_class: float = CLASS_TOL,
 
     ``tol_class`` bounds |f''(s*)| for the special tags (and |f''''| for type
     II via F4_TOL).  Points with |f''| in (tol_class, 10 tol_class) get a
-    nearness warning but are still classified.  One stationary-point scan:
-    ``_stationary``, the one-row case of the column scan that
-    ``phase_diagram`` runs once per beta.
+    nearness warning but are still classified.  One root list:
+    ``_stationary``, the one-row case of the ``_stationary_column`` call
+    that ``phase_diagram`` makes once per beta.
     """
     return _classify(spec, _stationary(spec), tol_class, tie_tol)
 
@@ -497,7 +513,7 @@ def _tie_newton(p: int, q: int, h: float, beta: float, s_lo: float, s_hi: float,
 def _beaten(tie: CriticalCurveSample, p: int, q: int) -> bool:
     """Certificate: does a third local maximum of f beat the tie?
 
-    One vectorised pass of f and f' over the scan grid.  A cell where f'
+    One vectorised pass of f and f' over ``_GRID``.  A cell where f'
     falls through zero holds a local maximum, whose height is estimated with
     f' linear across the cell; the guard edge counts when f is still rising
     there.  Cells within two cells of s_low or s_high are skipped.
@@ -556,39 +572,17 @@ def compute_beta_c(p: int, q: int) -> float:
 def compute_special_point(p: int, q: int) -> SpecialPoint:
     """The unique special point (beta_tilde, h_tilde) with its maximizer s_pq.
 
-    f'' is free of h and affine in beta, beta P2(s) + E2(s) with P2 > 0, so
-    beta_tilde (where sup_s f'' reaches 0) is min B(s), B = -E2/P2, at s_pq.
-    One vectorised scan of B seeds Newton on f'' = f''' = 0 in (beta, s); the
-    result must meet both to STATIONARY_TOL and lie at or below the scan
-    minimum.  A minimum at s = 0 (q = 2, p <= 4) is the closed
-    form ``_axis_beta``.  h_tilde is the k' difference making s_pq stationary.
+    f'' = (q-1)/(q^2 a b) (beta R(s) - 1), so beta_tilde, where sup_s f''
+    reaches 0, is 1/max R: s_pq = s_c of ``_r_peak``, or s = 0 when R has
+    no interior peak (q = 2, p <= 4), where beta_tilde is the closed form
+    ``_axis_beta``.  h_tilde = H_beta_tilde(s_pq) makes s_pq stationary.
     """
-    ent = ModelSpec(p, q, 0.0, 0.0)
-    b_scan = -f_deriv(ent, _GRID, 2) / f_beta_deriv(ent, _GRID, 2)
-    i = int(np.argmin(b_scan))
-    if b_scan[0] <= b_scan[i] * (1.0 + 1e-12):
-        beta, s = _axis_beta(p, q), 0.0
+    s = _r_peak(p, q)[0]
+    if s is None:
+        beta, s, h_tilde = _axis_beta(p, q), 0.0, 0.0
     else:
-        beta, s = float(b_scan[i]), float(_GRID[i])
-        for _ in range(NEWTON_MAX_STEPS):
-            spec = ModelSpec(p, q, beta, 0.0)
-            f2, f3, f4 = (f_deriv(spec, s, n) for n in (2, 3, 4))
-            p2, p3 = f_beta_deriv(spec, s, 2), f_beta_deriv(spec, s, 3)
-            det = p2 * f4 - f3 * p3
-            d_beta, d_s = (f3 * f3 - f2 * f4) / det, (f2 * p3 - p2 * f3) / det
-            beta, s = beta + d_beta, s + d_s
-            if not 0.0 < s < 1.0 - BOUNDARY_DELTA or max(abs(d_beta), abs(d_s)) <= NEWTON_STEP_TOL:
-                break
-        spec = ModelSpec(p, q, beta, 0.0)
-        # one ulp of s moves f''' by ~1e-16 |f''''|, as in _tie_newton
-        if not (0.0 < s < 1.0 - BOUNDARY_DELTA and beta <= b_scan[i] * (1.0 + 1e-10)
-                and abs(f_deriv(spec, s, 2)) <= STATIONARY_TOL
-                and abs(f_deriv(spec, s, 3)) <= STATIONARY_TOL + 1e-15 * abs(f_deriv(spec, s, 4))):
-            raise NonConvergenceError(f"the special point of ({p}, {q}) did not converge")
-    spec0 = ModelSpec(p, q, beta, 0.0)
-    h_tilde = k_deriv(spec0, (1.0 - s) / q, 1) - k_deriv(spec0, (1.0 + (q - 1.0) * s) / q, 1)
-    if abs(h_tilde) < 1e-12:
-        h_tilde = 0.0
+        beta = 1.0 / _r(p, q, s)[0]
+        h_tilde = _big_h(p, q, beta, s)[0]
     f4 = f_deriv(ModelSpec(p, q, beta, h_tilde), s, 4)
     kind = "II" if abs(f4) <= F4_TOL else "I"
     if f4 > F4_TOL:
@@ -667,7 +661,7 @@ def phase_diagram(p: int, q: int, beta_range, h_range, resolution,
     """Classify a rectangle of parameter points and attach the landmarks.
 
     ``resolution`` is one integer or a (beta, h) pair of them.  Each beta
-    column is classified from one ``_stationary_column`` scan, which gives
+    column is classified from one ``_stationary_column`` call, which gives
     every point the root list, and so the tag, of ``classify_point``.
     """
     b_lo, b_hi = beta_range

@@ -502,6 +502,15 @@ class TestCriticalSlices:
             with pytest.raises(DomainError):
                 slice_fn(p, q, value)
 
+    @pytest.mark.parametrize("p,q", [(4, 3), (4, 2)])
+    def test_negative_slice_inputs_raise(self, p, q):
+        # the curve continuation starts at h = 0 and cannot reach h < 0, and no
+        # beta < 0 is a parameter point: both are domain errors (exit 2)
+        for slice_fn, value in ((critical_slice_h, -1.0), (critical_slice_beta, -0.1),
+                                (critical_slice_h, -1e-300), (critical_slice_beta, -1e-300)):
+            with pytest.raises(DomainError):
+                slice_fn(p, q, value)
+
     def test_slice_point_is_critical(self):
         from tensorpotts import PointTag, classify_point
 

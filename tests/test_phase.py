@@ -28,7 +28,7 @@ from tensorpotts import (
     phase_diagram,
 )
 from tensorpotts import phase
-from tensorpotts.errors import DomainError, NonConvergenceError
+from tensorpotts.errors import DomainError
 from tensorpotts.inference import critical_slice_beta, critical_slice_h
 from tensorpotts.phase import (
     TIE_TOL,
@@ -38,7 +38,7 @@ from tensorpotts.phase import (
     trace_critical_curve,
 )
 
-from conftest import grid_argmax_f, rng
+from conftest import central_difference, grid_argmax_f, rng
 
 FIGURE_TIE_TOL = 1e-4  # absorbs 3-decimal rounding of the published points
 FIGURE_CLASS_TOL = 1e-2
@@ -83,6 +83,104 @@ class TestStationaryPoints:
         assert pts[-1].s > 1.0 - 1e-6
         for pt in pts:
             assert abs(f_deriv(spec, pt.s, 1)) <= 1e-12 + 1e-15 * abs(pt.f2)
+
+
+def _sign_change(fn, lo, hi):
+    """The sign change of fn on [lo, hi] (fn(lo) < 0 < fn(hi)), bisected to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if fn(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# the (p, q) with an interior special point, each at beta = beta_tilde (1 + eps)
+NEAR_SPECIAL_PQ = [(4, 3), (7, 5), (3, 4), (5, 3), (6, 4)]
+NEAR_SPECIAL_EPS = np.geomspace(1e-9, 1e-5, 41)
+
+
+class TestMonotoneInversion:
+    """f' = (q-1)/q (h - H(s)) and f'' = (q-1)/(q^2 ab) (beta R(s) - 1): the
+    roots come from the monotone branches of H, split where beta R = 1."""
+
+    @pytest.mark.parametrize("p, q", NEAR_SPECIAL_PQ)
+    def test_three_roots_next_to_the_special_point(self, p, q):
+        # h at 1/4, 1/2 and 3/4 of the window (H(t2), H(t1)) between the
+        # turning points t1 < t2, where f'' = 0; the window is about 6e-14 at
+        # eps = 1e-9, and the two maxima tie to rounding
+        sp = compute_special_point(p, q)
+        for eps in NEAR_SPECIAL_EPS:
+            spec0 = ModelSpec(p, q, sp.beta_tilde * (1.0 + eps), 0.0)
+            t1 = _sign_change(lambda s: f_deriv(spec0, s, 2), 0.0, sp.s_pq)
+            t2 = _sign_change(lambda s: -f_deriv(spec0, s, 2), sp.s_pq, 1.0 - 1e-9)
+            big_h = [-q / (q - 1.0) * f_deriv(spec0, t, 1) for t in (t1, t2)]
+            assert big_h[0] > big_h[1], (p, q, eps)
+            for frac in (0.25, 0.5, 0.75):
+                spec = spec0.with_params(h=big_h[1] + frac * (big_h[0] - big_h[1]))
+                roots = phase._stationary(spec)
+                assert [is_min for _, is_min in roots] == [False, True, False], spec
+                assert roots[0][0] < t1 < roots[1][0] < t2 < roots[2][0], spec
+                pc = phase._classify(spec, roots, phase.CLASS_TOL, TIE_TOL)
+                assert pc.tag is PointTag.STRONGLY_CRITICAL, spec
+
+    def test_r_has_at_most_one_interior_critical_point(self):
+        # R'(s) = p (p-1)/q b^(p-1) N(a/b), N(t) = (q-1) - (p-1) t +
+        # (q-1) t^(p-2) ((p-1)(q-1) - t), and s in (0, 1) is t = 1 + u with
+        # u > 0: the sign changes of the exact coefficients of N(1 + u) bound
+        # the interior critical points of R (Descartes); R(1) = 0 < R(s)
+        # makes a single one a maximum
+        nodes = rng(3).uniform(0.01, 0.99, 5)
+        for p in range(2, 41):
+            for q in range(2, 9):
+                coef = [0] * p
+                coef[0] += (q - 1) - (p - 1)
+                coef[1] -= p - 1
+                for k in range(p - 1):
+                    coef[k] += (q - 1) ** 2 * (p - 1) * math.comb(p - 2, k)
+                for k in range(p):
+                    coef[k] -= (q - 1) * math.comb(p - 1, k)
+                signs = [c for c in coef if c != 0]
+                changes = sum(x * y < 0 for x, y in zip(signs, signs[1:]))
+                s_c = phase._r_peak(p, q)[0]
+                assert changes == (0 if s_c is None else 1), (p, q)
+                assert (s_c is None) == (q == 2 and p <= 4), (p, q)
+                if s_c is not None:
+                    assert phase._r(p, q, s_c - 1e-6)[1] > 0 > phase._r(p, q, s_c + 1e-6)[1]
+                for s in nodes:
+                    a, b = (1 + (q - 1) * s) / q, (1 - s) / q
+                    t = a / b
+                    n = (q - 1) - (p - 1) * t + (q - 1) * t ** (p - 2) * ((p - 1) * (q - 1) - t)
+                    r1 = phase._r(p, q, s)[1]
+                    scale = p * p * (q * a ** (p - 2) + b ** (p - 2))
+                    assert abs(r1 - p * (p - 1.0) / q * b ** (p - 1) * n) <= 1e-12 * scale
+                    fd = central_difference(lambda x: phase._r(p, q, x)[0], s, 1e-6)
+                    assert abs(r1 - fd) <= 1e-7 * scale
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (4, 2), (4, 3), (7, 5), (12, 8)])
+    def test_h_and_r_give_the_first_two_f_derivatives(self, p, q):
+        for beta in (0.3, 1.1):
+            for h in (0.0, 0.7):
+                spec = ModelSpec(p, q, beta, h)
+                for s in (0.0, 0.2, 0.61, 0.93):
+                    a, b = (1 + (q - 1) * s) / q, (1 - s) / q
+                    big_h, slope = phase._big_h(p, q, beta, s)
+                    f2 = (q - 1) / (q * q * a * b) * (beta * phase._r(p, q, s)[0] - 1)
+                    assert f_deriv(spec, s, 1) == pytest.approx((q - 1) / q * (h - big_h),
+                                                                rel=1e-12, abs=1e-13)
+                    assert f_deriv(spec, s, 2) == pytest.approx(f2, rel=1e-12, abs=1e-13)
+                    assert slope == pytest.approx(-q / (q - 1) * f2, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("p, q", [(4, 3), (4, 4), (7, 5), (5, 3), (6, 4)])
+    def test_special_witness_is_s_pq(self, p, q):
+        # f' is cubic at s_pq, and H is flat to rounding over ~1e-5 around it:
+        # the floor rule makes s_pq itself the root
+        sp = compute_special_point(p, q)
+        pc = classify_point(ModelSpec(p, q, sp.beta_tilde, sp.h_tilde))
+        assert pc.tag is PointTag.SPECIAL_TYPE_I
+        assert pc.witness.s_values == (sp.s_pq,)
 
 
 class TestGlobalMaximizers:
@@ -151,6 +249,13 @@ class TestClassification:
         sp = compute_special_point(4, 3)
         pc = classify_point(ModelSpec(4, 3, sp.beta_tilde, sp.h_tilde))
         assert pc.tag is PointTag.SPECIAL_TYPE_I
+
+    @pytest.mark.parametrize("h", [0.4834744202549601, 0.48347442025654663])
+    def test_next_to_the_special_point_strongly_critical(self, h):
+        # beta = beta_tilde (1 + 2e-8), h inside the three-root window
+        pc = classify_point(ModelSpec(4, 3, 0.7788818178799327, h))
+        assert pc.tag is PointTag.STRONGLY_CRITICAL
+        assert len(pc.witness.s_values) == 2
 
     def test_weakly_critical(self):
         pc = classify_point(ModelSpec(7, 5, 2.0, 0.0))
@@ -333,10 +438,7 @@ class TestPhaseDiagram:
     ]
 
     @pytest.mark.parametrize("p, q, b_range, h_range, n_b, n_h", COLUMN_BOXES)
-    def test_column_scan_equals_single_points(self, p, q, b_range, h_range, n_b, n_h,
-                                              monkeypatch):
-        # three rows per block, so block ends fall inside every column
-        monkeypatch.setattr(phase, "SCAN_BLOCK_CELLS", 3 * (phase.SCAN_CELLS + 1))
+    def test_column_scan_equals_single_points(self, p, q, b_range, h_range, n_b, n_h):
         hs = np.linspace(*h_range, n_h)
         tags, most_roots = set(), 0
         for b in np.linspace(*b_range, n_b):
@@ -384,8 +486,8 @@ class TestCandidateRule:
         assert len(pc.witness.vectors) == q
 
     def test_degenerate_maxima_kept(self):
-        # f'' = 0 at the special maximizers: the scan's f' signs keep them
-        # (f' is cubic there, so the polished root is good to ~1e-5 only)
+        # f'' = 0 at the special maximizers: the rising branch of H through
+        # s_pq keeps them
         for p, q in ((4, 2), (2, 2), (4, 3)):
             sp = compute_special_point(p, q)
             winners = global_maximizers_1d(ModelSpec(p, q, sp.beta_tilde, sp.h_tilde))
@@ -497,13 +599,6 @@ class TestAgainstBisectionSolvers:
             assert abs(f_deriv(spec, sp.s_pq, 1)) <= 1e-12
             assert abs(f_deriv(spec, sp.s_pq, 2)) <= 1e-12
             assert abs(f_deriv(spec, sp.s_pq, 3)) <= 1e-12
-
-    def test_special_point_rejects_unconverged_newton(self, monkeypatch):
-        # one Newton step from the scan seed leaves f'' and f''' far above
-        # STATIONARY_TOL: the residual check must refuse the result
-        monkeypatch.setattr(phase, "NEWTON_MAX_STEPS", 1)
-        with pytest.raises(NonConvergenceError):
-            compute_special_point(7, 5)
 
     def test_q2_closed_forms(self):
         for p in (2, 3, 4):
