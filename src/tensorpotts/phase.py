@@ -24,9 +24,10 @@ every h; ``phase_diagram`` calls it per beta column and ``classify_point``
 with one h, so both give a point the same roots.
 
 The special point is closed-form at the peak of R.  beta_c solves the h = 0
-tie by Newton from one vectorised scan; the curve and its slices follow the
-tie system by natural-parameter continuation (secant predictor, Newton
-corrector, step halving, a grid certificate per sample).
+tie from the same root lists, as the root of a convex gap in beta; the curve
+and its slices follow the tie system by natural-parameter continuation
+(secant predictor, Newton corrector, step halving), and each sample must hold
+the best of the same maximizer candidates.
 
 The classification taxonomy:
 
@@ -174,14 +175,6 @@ MIN_CONTINUATION_STEP = 1e-9
 # [0, 1] to adjacent floats about 55.
 SOLVE_MAX_STEPS = 100
 
-# The tie certificate and the h = 0 tie scan run on 1024 uniform cells plus
-# a geometric tail toward the guard, where the ordered maximizer of large p
-# sits: Newton needs a start within a factor e of the true 1 - s.  The tail
-# holds the guard edge 1 - 1e-9.  np.union1d would import numpy.ma (np.unique).
-_GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0 - BOUNDARY_DELTA, 1025)[:-1],
-                                1.0 - np.logspace(-9, -3, 49)]))
-
-
 def _ray(q: int, s: float) -> tuple:
     """The ray coordinates a = (1 + (q-1) s)/q and b = (1 - s)/q of x_s."""
     return (1.0 + (q - 1.0) * s) / q, (1.0 - s) / q
@@ -244,12 +237,13 @@ def _r_peak(p: int, q: int) -> tuple:
     ((p-1)(q-1) - t), and the coefficients of N(1 + u) change sign once when
     q >= 3 or p >= 5 and never otherwise (Descartes): one interior critical
     point, or none (s_c None, R falls from s = 0).  The sign of R' is
-    bisected to adjacent floats.
+    bisected to adjacent floats.  (p, q) is checked as a ModelSpec first.
 
     An evaluation of H is off by about eps (2 + beta p (p-1) (a^(p-1) +
     b^(p-1))) from the rounding of a and b; four times that at the peak, with
     beta = 1/R(peak), is the floor: H moving less over a branch is rounding.
     """
+    ModelSpec(p, q, 0.0, 0.0)
     s_c = None
     if q > 2 or p > 4:
         s_c = _solve(lambda s: (_r(p, q, s)[1], 0.0), 0.0, 1.0, -1.0)
@@ -355,7 +349,7 @@ def _maximizer_candidates(spec: ModelSpec, roots: list) -> list:
     if f_deriv(spec, edge, 1) > 0:
         pts.append(_point(spec, edge))
     if not pts:
-        raise NonConvergenceError(f"no maximizer candidate above the f' noise floor at {spec}")
+        raise NonConvergenceError(f"no local maximum of f and no rising guard edge at {spec}")
     return pts
 
 
@@ -513,46 +507,46 @@ def _tie_newton(p: int, q: int, h: float, beta: float, s_lo: float, s_hi: float,
 def _beaten(tie: CriticalCurveSample, p: int, q: int) -> bool:
     """Certificate: does a third local maximum of f beat the tie?
 
-    One vectorised pass of f and f' over ``_GRID``.  A cell where f'
-    falls through zero holds a local maximum, whose height is estimated with
-    f' linear across the cell; the guard edge counts when f is still rising
-    there.  Cells within two cells of s_low or s_high are skipped.
+    True when the best of the ``_maximizer_candidates`` at the tie's (beta,
+    h) exceeds f at both s_low and s_high by more than TIE_TOL.  A candidate
+    at s_low or s_high cannot beat its own value, so none is excluded.
     """
     spec = ModelSpec(p, q, tie.beta, tie.h)
-    f = f_deriv(spec, _GRID, 0)
-    g = f_deriv(spec, _GRID, 1)
-    i = np.nonzero((g[:-1] > 0) & (g[1:] <= 0))[0]
-    peaks = np.append(f[i] + 0.5 * (_GRID[i + 1] - _GRID[i]) * g[i] * g[i] / (g[i] - g[i + 1]),
-                      f[-1] if g[-1] > 0 else -np.inf)
-    cells = np.append(i, len(_GRID) - 1)
-    keep = np.searchsorted(_GRID, [tie.s_low, tie.s_high])
-    far = np.all(np.abs(cells[:, None] - keep[None, :]) > 2, axis=1)
     f_top = max(f_deriv(spec, tie.s_low, 0), f_deriv(spec, tie.s_high, 0))
-    return bool(np.any(peaks[far] > f_top + TIE_TOL))
+    best = max(pt.f_value for pt in _maximizer_candidates(spec, _stationary(spec)))
+    return best > f_top + TIE_TOL
 
 
+def _axis_gap(p: int, q: int, beta: float) -> tuple:
+    """(gap, slope, s*): the largest f_{beta,0}(s) - f_{beta,0}(0) over the
+    maximizer candidates s > 0, at s*, and its slope in beta P(s*) - P(0),
+    P = sum x_r^p; (-inf, 0, None) with no such candidate.  Each term is
+    affine and increasing in beta, so the gap is convex and nondecreasing."""
+    spec = ModelSpec(p, q, beta, 0.0)
+    pts = [pt for pt in _maximizer_candidates(spec, _stationary(spec)) if pt.s > 0.0]
+    if not pts:
+        return -math.inf, 0.0, None
+    top = max(pts, key=lambda pt: pt.f_value)
+    return (top.f_value - f_deriv(spec, 0.0, 0),
+            f_beta_deriv(spec, top.s, 0) - f_beta_deriv(spec, 0.0, 0), top.s)
+
+
+@functools.lru_cache(maxsize=1024)
 def _axis_tie(p: int, q: int):
-    """The h = 0 tie f(s_c) = f(0) at beta_c, as a curve sample with s_low = 0.
-
-    f_beta(s) - f_beta(0) = beta (P(s) - P(0)) - (E(0) - E(s)) with P = sum
-    x_r^p and E the entropy, so s > 0 first ties at beta = min C(s), C =
-    (E(0) - E(s)) / (P(s) - P(0)).  One vectorised scan of C seeds Newton in
-    (s, beta) and certifies the result: no grid point ties at a smaller beta.
-    None for a continuous transition, where C(0+) = ``_axis_beta`` is the minimum.
+    """The h = 0 tie f(s*) = f(0) at beta_c, as a curve sample with s_low = 0:
+    the root of ``_axis_gap`` on [0, ``_axis_beta``] by ``_solve``, polished
+    by ``_tie_newton``.  None for a continuous transition (q = 2, p <= 4, R
+    has no interior peak), where beta_c is ``_axis_beta`` itself.
     """
-    ent = ModelSpec(p, q, 0.0, 0.0)
-    s = _GRID[1:]
-    c = ((f_deriv(ent, s, 0) - f_deriv(ent, 0.0, 0))
-         / (f_beta_deriv(ent, 0.0, 0) - f_beta_deriv(ent, s, 0)))
-    i = int(np.argmin(c))
-    # cancellation in C near s = 0 stays far below this margin
-    if c[i] >= _axis_beta(p, q) * (1.0 - 1e-6):
+    if _r_peak(p, q)[0] is None:
         return None
-    tie = _tie_newton(p, q, 0.0, float(c[i]), 0.0, float(s[i]), "beta")
-    if tie is None and i == len(s) - 1:
+    beta = _solve(lambda b: _axis_gap(p, q, b)[:2], 0.0, _axis_beta(p, q))
+    s = _axis_gap(p, q, beta)[2]
+    tie = _tie_newton(p, q, 0.0, beta, 0.0, s, "beta")
+    if tie is None and s == 1.0 - BOUNDARY_DELTA:
         # the ordered maximizer sits inside the boundary guard: the edge stands in
-        return CriticalCurveSample(h=0.0, beta=float(c[i]), s_low=0.0, s_high=float(s[i]))
-    if tie is None or tie.beta > c[i] * (1.0 + 1e-10):
+        return CriticalCurveSample(h=0.0, beta=beta, s_low=0.0, s_high=s)
+    if tie is None:
         raise NonConvergenceError(f"the h = 0 tie of ({p}, {q}) did not converge")
     return tie
 
@@ -561,8 +555,8 @@ def compute_beta_c(p: int, q: int) -> float:
     """Transition point beta_c: the infimum of beta at which f_{beta,0} gains
     a positive global maximizer.
 
-    For a first-order transition this is the h = 0 tie f(s_c) = f(0), solved
-    by Newton from one vectorised scan (``_axis_tie``); for the continuous
+    For a first-order transition this is the h = 0 tie f(s*) = f(0), the
+    root of a convex gap in beta (``_axis_tie``); for the continuous
     ones (q = 2, p <= 4) it is the closed-form root of f''_{beta,0}(0).
     """
     tie = _axis_tie(p, q)

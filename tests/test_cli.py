@@ -371,11 +371,16 @@ class TestExitCodes:
          "--samples", "5", "--project", "nan", "0", "0", "--out", "{tmp}/s.csv"],
         ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--ks-tol", "-1"],
         ["limit-check", *REGULAR, "--N", "30", "--samples", "20", "--ks-tol", "nan"],
+        ["landmarks", "--p", "1", "--q", "3"],
+        ["curve", "--p", "0", "--q", "3"],
+        ["phase-diagram", "--p", "1", "--q", "3", "--beta-min", "0.3", "--beta-max", "1.2",
+         "--h-max", "0.5", "--resolution", "5"],
     ], ids=["simulate-project-length", "limit-check-project-length", "simulate-seed",
             "limit-check-seed", "estimate-seed", "resolution-negative", "resolution-zero",
             "out-missing-dir", "data-missing", "data-not-numeric", "data-empty",
             "classify-tol-class-nan", "limit-check-project-nan", "simulate-project-nan",
-            "limit-check-ks-tol-negative", "limit-check-ks-tol-nan"])
+            "limit-check-ks-tol-negative", "limit-check-ks-tol-nan", "landmarks-p1", "curve-p0",
+            "phase-diagram-p1"])
     def test_bad_input_exits_two_without_traceback(self, capsys, recwarn, tmp_path, argv):
         (tmp_path / "words.csv").write_text("x1,x2,x3\nfirst,second,third\n")
         (tmp_path / "empty.csv").write_text("# x1,x2,x3\n")

@@ -320,15 +320,27 @@ class TestLandmarks:
         for p in (2, 3, 4):
             assert compute_beta_c(p, 2) == pytest.approx(2 ** (p - 1) / (p * (p - 1)), abs=1e-8)
 
-    def test_beta_c_grid_oracle_bracket(self):
-        bc = compute_beta_c(7, 5)
+    @pytest.mark.parametrize("pq", [(7, 5), (5, 2), (2, 3), (4, 3), (4, 4), (3, 4), (6, 4)])
+    def test_beta_c_grid_oracle_bracket(self, pq):
+        bc = compute_beta_c(*pq)
         eps = 1e-7
-        below = ModelSpec(7, 5, bc - eps, 0.0)
-        above = ModelSpec(7, 5, bc + eps, 0.0)
+        below = ModelSpec(*pq, bc - eps, 0.0)
+        above = ModelSpec(*pq, bc + eps, 0.0)
         s_b, f_b = grid_argmax_f(below, 200_001)
         s_a, f_a = grid_argmax_f(above, 200_001)
         assert s_b == pytest.approx(0.0, abs=1e-4)
-        assert s_a > 0.5
+        assert abs(s_a - phase._axis_tie(*pq).s_high) <= 1e-4
+
+    @pytest.mark.parametrize("q", range(3, 9))
+    def test_beta_c_exact_at_p2(self, q):
+        # the Curie-Weiss-Potts transition (Costeniuc, Ellis & Touchette,
+        # J. Math. Phys. 46, 2005): beta_c = (q-1) log(q-1)/(q-2), where the
+        # ordered maximizer s = (q-2)/(q-1) ties with the uniform vector
+        tie = phase._axis_tie(2, q)
+        exact = (q - 1) * math.log(q - 1) / (q - 2)
+        assert abs(compute_beta_c(2, q) - exact) <= 1e-14 * exact
+        assert tie.s_low == 0.0
+        assert abs(tie.s_high - (q - 2) / (q - 1)) <= 1e-14
 
     def test_special_point_4_2(self):
         sp = compute_special_point(4, 2)
