@@ -51,6 +51,18 @@ for path in sys.argv[1:]:
     assert pc["tag"] == "StronglyCritical" and len(pc["s_values"]) == 2, (path, pc)
 EOF
 
+echo "== Phase layer at large p"
+tensorpotts landmarks --p 100 --q 3 > "$tmp/landmarks_100_3.json"
+python - "$tmp/landmarks_100_3.json" <<'EOF'
+import json
+import sys
+lm = json.load(open(sys.argv[1]))
+assert lm["type"] == "I" and 0.98 < lm["s_pq"] < 0.99, lm
+EOF
+status=0
+tensorpotts landmarks --p 56 --q 8 || status=$?
+test "$status" -eq 3
+
 echo "== Two-step confidence set through the composed law L1"
 tensorpotts ci --p 4 --q 3 --beta 0.7788818023022966 --h 0.4834744456391682 --param beta --N 500 --simulate --method two_step
 

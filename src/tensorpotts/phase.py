@@ -26,8 +26,8 @@ with one h, so both give a point the same roots.
 The special point is closed-form at the peak of R.  beta_c solves the h = 0
 tie from the same root lists, as the root of a convex gap in beta; the curve
 and its slices follow the tie system by natural-parameter continuation
-(secant predictor, Newton corrector, step halving), and each sample must hold
-the best of the same maximizer candidates.
+(secant predictor, Newton corrector, step halving); a sample's two maxima
+must be the roots on the first and the last rising branch, the only candidates.
 
 The classification taxonomy:
 
@@ -236,8 +236,10 @@ def _r_peak(p: int, q: int) -> tuple:
     R'(s) = p (p-1)/q b^(p-1) N(a/b), N(t) = (q-1) - (p-1) t + (q-1) t^(p-2)
     ((p-1)(q-1) - t), and the coefficients of N(1 + u) change sign once when
     q >= 3 or p >= 5 and never otherwise (Descartes): one interior critical
-    point, or none (s_c None, R falls from s = 0).  The sign of R' is
-    bisected to adjacent floats.  (p, q) is checked as a ModelSpec first.
+    point, or none (s_c None, R falls from s = 0).  The sign of R' is bisected
+    to adjacent floats or an exact zero, and the end with the smaller |R'|
+    kept (at large p, |R'| is far smaller at s = 1/2 than next to the peak).
+    (p, q) is checked as a ModelSpec first.
 
     An evaluation of H is off by about eps (2 + beta p (p-1) (a^(p-1) +
     b^(p-1))) from the rounding of a and b; four times that at the peak, with
@@ -246,7 +248,12 @@ def _r_peak(p: int, q: int) -> tuple:
     ModelSpec(p, q, 0.0, 0.0)
     s_c = None
     if q > 2 or p > 4:
-        s_c = _solve(lambda s: (_r(p, q, s)[1], 0.0), 0.0, 1.0, -1.0)
+        lo, hi = 0.0, 1.0
+        while lo < 0.5 * (lo + hi) < hi:
+            s = 0.5 * (lo + hi)
+            slope = _r(p, q, s)[1]
+            lo, hi = (s, s) if slope == 0.0 else (s, hi) if slope > 0.0 else (lo, s)
+        s_c = min(lo, hi, key=lambda s: abs(_r(p, q, s)[1]))
     a, b = _ray(q, s_c or 0.0)
     beta = 1.0 / _r(p, q, s_c or 0.0)[0]
     return s_c, 4.0 * sys.float_info.epsilon * (2.0 + beta * p * (p - 1.0)
@@ -363,11 +370,7 @@ def _winners(pts: list, tie_tol: float) -> list:
     if not 0.0 < tie_tol < np.inf:
         raise DomainError(f"tie_tol must be finite and positive, got {tie_tol}")
     best = max(pt.f_value for pt in pts)
-    winners = [pt for pt in pts if pt.f_value >= best - tie_tol]
-    # the free energy admits at most two tied maximizers
-    if len(winners) > 2:
-        winners = sorted(sorted(winners, key=lambda pt: -pt.f_value)[:2], key=lambda pt: pt.s)
-    return winners
+    return [pt for pt in pts if pt.f_value >= best - tie_tol]
 
 
 def full_maximizer_set(spec: ModelSpec, tie_tol: float = TIE_TOL) -> MaximizerSet:
@@ -466,6 +469,9 @@ def _tie_newton(p: int, q: int, h: float, beta: float, s_lo: float, s_hi: float,
     with beta free, f'(0) = d_beta f'(0) = 0 exactly, so s_lo = 0 stays 0.
     Returns None when an iterate leaves the domain or stops being two
     distinct local maxima (f'' < 0), or the residuals miss STATIONARY_TOL.
+    So does a pair without s_lo < s_c < s_hi and beta R(s_c) > 1 (s_c of
+    ``_r_peak``): only then are they the roots on the first and last rising
+    branches of H, the only maximizer candidates (H -> +inf at s = 1).
     """
     done = False
     for it in range(NEWTON_MAX_STEPS + 1):
@@ -501,20 +507,10 @@ def _tie_newton(p: int, q: int, h: float, beta: float, s_lo: float, s_hi: float,
     if (abs(gap) > STATIONARY_TOL or abs(g_lo) > STATIONARY_TOL - 1e-15 * d_lo
             or abs(g_hi) > STATIONARY_TOL - 1e-15 * d_hi):
         return None
+    s_c = _r_peak(p, q)[0] or 0.0
+    if not (s_lo < s_c < s_hi and beta * _r(p, q, s_c)[0] > 1.0):
+        return None
     return CriticalCurveSample(h=h, beta=beta, s_low=s_lo, s_high=s_hi)
-
-
-def _beaten(tie: CriticalCurveSample, p: int, q: int) -> bool:
-    """Certificate: does a third local maximum of f beat the tie?
-
-    True when the best of the ``_maximizer_candidates`` at the tie's (beta,
-    h) exceeds f at both s_low and s_high by more than TIE_TOL.  A candidate
-    at s_low or s_high cannot beat its own value, so none is excluded.
-    """
-    spec = ModelSpec(p, q, tie.beta, tie.h)
-    f_top = max(f_deriv(spec, tie.s_low, 0), f_deriv(spec, tie.s_high, 0))
-    best = max(pt.f_value for pt in _maximizer_candidates(spec, _stationary(spec)))
-    return best > f_top + TIE_TOL
 
 
 def _axis_gap(p: int, q: int, beta: float) -> tuple:
@@ -536,12 +532,15 @@ def _axis_tie(p: int, q: int):
     """The h = 0 tie f(s*) = f(0) at beta_c, as a curve sample with s_low = 0:
     the root of ``_axis_gap`` on [0, ``_axis_beta``] by ``_solve``, polished
     by ``_tie_newton``.  None for a continuous transition (q = 2, p <= 4, R
-    has no interior peak), where beta_c is ``_axis_beta`` itself.
+    has no interior peak), where beta_c is ``_axis_beta`` itself.  A gap over
+    TIE_TOL at the solved beta (large p: ``_solve`` runs out of steps) raises.
     """
     if _r_peak(p, q)[0] is None:
         return None
     beta = _solve(lambda b: _axis_gap(p, q, b)[:2], 0.0, _axis_beta(p, q))
-    s = _axis_gap(p, q, beta)[2]
+    gap, _, s = _axis_gap(p, q, beta)
+    if not abs(gap) <= TIE_TOL:
+        raise NonConvergenceError(f"no h = 0 tie of ({p}, {q}): gap {gap:.3g} at beta {beta!r}")
     tie = _tie_newton(p, q, 0.0, beta, 0.0, s, "beta")
     if tie is None and s == 1.0 - BOUNDARY_DELTA:
         # the ordered maximizer sits inside the boundary guard: the edge stands in
@@ -589,9 +588,9 @@ def trace_critical_curve(p: int, q: int, param: str, values) -> list:
     beta, or "beta", solving for h), moving monotonically away from the axis.
 
     Natural-parameter continuation from the h = 0 tie at beta_c: a secant
-    predictor through the last two accepted points, the Newton corrector
-    ``_tie_newton`` and the ``_beaten`` certificate.  When the corrector or
-    the certificate fails, the step is halved.  Callers keep h in
+    predictor through the last two accepted points and the Newton corrector
+    ``_tie_newton``, which accepts only the two maximizer candidates.  When
+    the corrector fails, the step is halved.  Callers keep h in
     [0, h_tilde) or beta above beta_tilde (a nan or inf raises DomainError);
     a beta at or above beta_c (within 1e-12) gives the h = 0 tie itself.
     """
@@ -622,7 +621,7 @@ def trace_critical_curve(p: int, q: int, param: str, values) -> list:
                 x = x + (x - coords(path[-2])) * ((lam - lam1) / (lam1 - lam0))
             h, beta = (lam, x[2]) if param == "h" else (x[2], lam)
             tie = _tie_newton(p, q, float(h), float(beta), float(x[0]), float(x[1]), free)
-            if tie is None or _beaten(tie, p, q):
+            if tie is None:
                 lam = lam1 + 0.5 * (lam - lam1)
                 if abs(lam - lam1) < MIN_CONTINUATION_STEP:
                     raise NonConvergenceError(f"curve continuation stalled at {param} = {lam1}")

@@ -348,6 +348,15 @@ class TestExitCodes:
                             lambda self, argv=None: args)
         assert cli.main(["landmarks", "--p", "4", "--q", "2"]) == 3
 
+    def test_unsolved_axis_tie_exits_three_without_traceback(self, capsys):
+        # beta_c's bracket is 1.2e16 wide at (65, 6); the solve used to stop
+        # there and print that bound as beta_c with exit 0
+        code = main(["landmarks", "--p", "65", "--q", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "h = 0 tie" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     REGULAR = ["--p", "4", "--q", "3", "--beta", "0.616", "--h", "0.67"]
 
     @pytest.mark.parametrize("argv", [

@@ -28,12 +28,11 @@ from tensorpotts import (
     phase_diagram,
 )
 from tensorpotts import phase
-from tensorpotts.errors import DomainError
+from tensorpotts.errors import DomainError, NonConvergenceError
 from tensorpotts.inference import critical_slice_beta, critical_slice_h
 from tensorpotts.phase import (
     TIE_TOL,
     CriticalCurveSample,
-    _beaten,
     curve_to_csv,
     trace_critical_curve,
 )
@@ -131,9 +130,10 @@ class TestMonotoneInversion:
         # (q-1) t^(p-2) ((p-1)(q-1) - t), and s in (0, 1) is t = 1 + u with
         # u > 0: the sign changes of the exact coefficients of N(1 + u) bound
         # the interior critical points of R (Descartes); R(1) = 0 < R(s)
-        # makes a single one a maximum
+        # makes a single one a maximum.  Up to p = 300: at large p, |R'| at
+        # s = 1/2 is below its size next to the peak
         nodes = rng(3).uniform(0.01, 0.99, 5)
-        for p in range(2, 41):
+        for p in range(2, 301):
             for q in range(2, 9):
                 coef = [0] * p
                 coef[0] += (q - 1) - (p - 1)
@@ -147,6 +147,11 @@ class TestMonotoneInversion:
                 s_c = phase._r_peak(p, q)[0]
                 assert changes == (0 if s_c is None else 1), (p, q)
                 assert (s_c is None) == (q == 2 and p <= 4), (p, q)
+                if s_c is not None:
+                    below, above = math.nextafter(s_c, 0.0), math.nextafter(s_c, 1.0)
+                    assert phase._r(p, q, below)[1] >= 0 >= phase._r(p, q, above)[1], (p, q)
+                if p > 40:
+                    continue
                 if s_c is not None:
                     assert phase._r(p, q, s_c - 1e-6)[1] > 0 > phase._r(p, q, s_c + 1e-6)[1]
                 for s in nodes:
@@ -202,6 +207,18 @@ class TestGlobalMaximizers:
         winners = global_maximizers_1d(spec)
         s_grid, _ = grid_argmax_f(spec, 400_001)
         assert min(abs(w.s - s_grid) for w in winners) < 1e-5
+
+    @pytest.mark.parametrize("p, q", [(100, 2), (100, 3), (100, 8), (200, 2), (200, 3), (200, 8)])
+    def test_ray_brute_force_at_large_p(self, p, q):
+        # a dense ray grid finds no f above the reported maxima; with R's
+        # peak read as s = 1/2 the branches of H were wrong from p = 68 at
+        # q = 8 and p = 97 at q = 3, and maxima higher by up to 0.68 were missed
+        gen = rng(p + q)
+        for beta, h in zip(gen.uniform(0.05, 3.0, 6), gen.uniform(0.0, 3.0, 6)):
+            spec = ModelSpec(p, q, float(beta), float(h))
+            pc = classify_point(spec)
+            _, f_grid = grid_argmax_f(spec, 400_001)
+            assert f_grid <= max(pc.f_values) + 1e-9, (spec, pc)
 
 
 class TestFullMaximizerSet:
@@ -355,6 +372,18 @@ class TestLandmarks:
             assert sp.beta_tilde == pytest.approx(2 ** (p - 1) / (p * (p - 1)), abs=1e-8)
             assert sp.h_tilde == 0.0
             assert sp.type == "I"
+
+    def test_type_ii_only_at_4_2(self):
+        # the abstract's N^(-5/6) point arises for one (p, q) alone
+        kinds = {(p, q): compute_special_point(p, q).type
+                 for p in range(2, 301) for q in range(2, 9)}
+        assert [pq for pq, kind in kinds.items() if kind == "II"] == [(4, 2)]
+
+    def test_beta_c_raises_when_the_axis_solve_runs_out(self):
+        # the bracket [0, q^(p-1)/(p(p-1))] is 1.2e16 wide at (65, 6): the
+        # bisection stops there with the tie gap far above TIE_TOL
+        with pytest.raises(NonConvergenceError, match="h = 0 tie"):
+            compute_beta_c(65, 6)
 
     def test_special_point_7_5(self):
         sp = compute_special_point(7, 5)
@@ -673,14 +702,27 @@ class TestContinuationInvariants:
         assert float(np.max(f_deriv(spec, DENSE_GRID, 0))) <= f_tie + TIE_TOL
         if c.h == 0.0:
             assert c.s_low == 0.0
+        # the two tied maxima are the only maximizer candidates: no third one
+        # is left to beat them
+        cands = phase._maximizer_candidates(spec, phase._stationary(spec))
+        assert [pt.s for pt in cands] == pytest.approx([c.s_low, c.s_high], abs=1e-9)
 
-    def test_certificate_flags_a_higher_third_maximum(self):
+    def test_corrector_rejects_a_pair_on_one_branch(self):
         c = trace_critical_curve(4, 3, "h", [0.2])[0]
-        assert not _beaten(c, 4, 3)
         # at a larger beta the high branch beats the low one by far more than
         # TIE_TOL; a claimed tie that skips it must be rejected
-        fake = CriticalCurveSample(h=0.2, beta=c.beta + 0.05, s_low=c.s_low, s_high=c.s_low + 0.01)
-        assert _beaten(fake, 4, 3)
+        for free in ("beta", "h"):
+            assert phase._tie_newton(4, 3, 0.2, c.beta + 0.05, c.s_low, c.s_low + 0.01,
+                                     free) is None
+        # one maximum and the float above it meet every residual test of the
+        # tie system; only R's peak between them makes a pair a tie
+        spec = ModelSpec(4, 3, 0.616, 0.67)
+        s = global_maximizers_1d(spec)[0].s
+        pair = (s, math.nextafter(s, 1.0))
+        assert max(abs(f_deriv(spec, x, 1)) for x in pair) <= 1e-15
+        assert f_deriv(spec, pair[1], 0) - f_deriv(spec, pair[0], 0) == 0.0
+        for free in ("beta", "h"):
+            assert phase._tie_newton(4, 3, 0.67, 0.616, *pair, free) is None
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("param", ["h", "beta"])
